@@ -1,9 +1,9 @@
 """Micro-benchmarks for the memory-hierarchy hot path.
 
-Times the layer in isolation — scalar cache access, batched range
-walks, strided record scans, and the per-line reference path — so a
-change too small to move grid cells is still measurable.  Standalone
-(no pytest-benchmark dependency)::
+Times the layer in isolation — scalar cache access, range walks,
+strided record scans, and the same scans issued as one scalar access
+per line — so a change too small to move grid cells is still
+measurable.  Standalone (no pytest-benchmark dependency)::
 
     PYTHONPATH=src python benchmarks/perf/bench_cache_hotpath.py
 
@@ -67,20 +67,29 @@ def bench_cache_access_range():
     return run
 
 
-def bench_hierarchy_load_range(batched: bool):
-    hier = build_host_hierarchy(Clock(2e9), batched=batched)
+def bench_hierarchy_load_range(per_line: bool):
+    hier = build_host_hierarchy(Clock(2e9))
+    line = hier.l1d.config.line_size
 
     def run():
         for base in range(0, SCAN_BYTES, 64 * 1024):
-            hier.load_range(base, 64 * 1024)
+            if per_line:
+                for addr in range(base, base + 64 * 1024, line):
+                    hier.load(addr)
+            else:
+                hier.load_range(base, 64 * 1024)
     return run
 
 
-def bench_hierarchy_load_stride(batched: bool):
-    hier = build_host_hierarchy(Clock(2e9), batched=batched)
+def bench_hierarchy_load_stride(per_line: bool):
+    hier = build_host_hierarchy(Clock(2e9))
 
     def run():
-        hier.load_stride(0, RECORD_BYTES, RECORDS)
+        if per_line:
+            for i in range(RECORDS):
+                hier.load(i * RECORD_BYTES)
+        else:
+            hier.load_stride(0, RECORD_BYTES, RECORDS)
     return run
 
 
@@ -89,17 +98,17 @@ def main() -> None:
           f"stride = {RECORDS} x {RECORD_BYTES} B records\n")
     _timed("Cache.access (public, per line)", bench_cache_scalar_access())
     _timed("Cache._access (int-coded, per line)", bench_cache_int_access())
-    _timed("Cache.access_range (batched)", bench_cache_access_range())
-    perline = _timed("hierarchy load_range (per-line path)",
-                     bench_hierarchy_load_range(batched=False))
-    batched = _timed("hierarchy load_range (batched path)",
-                     bench_hierarchy_load_range(batched=True))
-    print(f"{'-> load_range speedup':<44} {perline / batched:7.2f} x")
-    perline = _timed("hierarchy load_stride (per-line path)",
-                     bench_hierarchy_load_stride(batched=False))
-    batched = _timed("hierarchy load_stride (batched path)",
-                     bench_hierarchy_load_stride(batched=True))
-    print(f"{'-> load_stride speedup':<44} {perline / batched:7.2f} x")
+    _timed("Cache.access_range", bench_cache_access_range())
+    perline = _timed("hierarchy load per line",
+                     bench_hierarchy_load_range(per_line=True))
+    scan = _timed("hierarchy load_range",
+                  bench_hierarchy_load_range(per_line=False))
+    print(f"{'-> load_range speedup':<44} {perline / scan:7.2f} x")
+    perline = _timed("hierarchy load per record",
+                     bench_hierarchy_load_stride(per_line=True))
+    scan = _timed("hierarchy load_stride",
+                  bench_hierarchy_load_stride(per_line=False))
+    print(f"{'-> load_stride speedup':<44} {perline / scan:7.2f} x")
 
 
 if __name__ == "__main__":

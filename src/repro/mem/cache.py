@@ -15,15 +15,16 @@ O(1) — a membership probe, a ``pop`` + re-insert to touch, and
 ``next(iter(set))`` to find the victim.  (The original parallel
 ``tags``/``dirty`` lists paid a Python-level ``list.index`` scan per
 access, which dominated the benchmark-grid wall clock.)  The internal
-path (:meth:`_access`, :meth:`_access_run`) returns plain ints and
-commits statistics in batches; the :class:`AccessResult` dataclass
-survives as a thin wrapper on the public :meth:`access`.
+path (:meth:`_access`, :meth:`_access_run`, :meth:`_access_each`)
+returns plain ints and commits statistics once per call; the
+:class:`AccessResult` dataclass survives as a thin wrapper on the
+public :meth:`access`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -135,9 +136,9 @@ class Cache:
                     write: bool = False) -> Tuple[List[int], int]:
         """``count`` sequential line accesses from line-aligned ``line_addr``.
 
-        The batched fast path: sequential lines walk distinct sets, so
-        the whole run is dict probes with statistics committed once at
-        the end.  Returns ``(missed line addresses, writeback count)``
+        The scan fast path: sequential lines walk distinct sets, so the
+        whole run is dict probes with statistics committed once at the
+        end.  Returns ``(missed line addresses, writeback count)``
         — exactly what a lower level needs to fill and clean up.
         """
         sets = self._sets
@@ -169,15 +170,18 @@ class Cache:
         stats.writebacks += writebacks
         return missed, writebacks
 
-    def _access_stride(self, addr: int, stride: int, count: int,
-                       write: bool = False) -> Tuple[List[int], int]:
-        """``count`` accesses at ``addr, addr+stride, ...`` in one batch.
+    def _access_each(self, addrs: Sequence[int],
+                     write: bool = False) -> Tuple[List[int], int]:
+        """Access each of ``addrs`` in order, in one call.
 
-        The strided sibling of :meth:`_access_run`, for record scans
-        whose stride differs from the line size (so some lines repeat,
-        some are skipped).  Returns missed addresses aligned down to
-        their line — equivalent for every lower level, which only looks
-        at the containing line/page.
+        Serves strided record scans (where a stride shorter than a line
+        repeats lines and a longer one skips them) and the L2 pass over
+        a scan's L1 misses.  An address in the same line as the one
+        before it costs no probe: the previous access left that line
+        MRU (and dirty if ``write``), so the repeat is a hit that
+        changes no state and only counts.
+        Returns ``(missed addresses, writeback count)`` like
+        :meth:`_access_run`, with each miss reported at its own address.
         """
         sets = self._sets
         set_mask = self._set_mask
@@ -187,19 +191,24 @@ class Cache:
         missed: List[int] = []
         evictions = 0
         writebacks = 0
-        for i in range(count):
-            line = (addr + i * stride) >> line_shift
+        previous = -1
+        for addr in addrs:
+            line = addr >> line_shift
+            if line == previous:
+                continue
+            previous = line
             lines = sets[line & set_mask]
             tag = line >> tag_shift
             if tag in lines:
                 lines[tag] = lines.pop(tag) or write
             else:
-                missed.append(line << line_shift)
+                missed.append(addr)
                 if len(lines) >= assoc:
                     evictions += 1
                     if lines.pop(next(iter(lines))):
                         writebacks += 1
                 lines[tag] = write
+        count = len(addrs)
         stats = self.stats
         stats.accesses += count
         stats.hits += count - len(missed)
@@ -231,23 +240,22 @@ class Cache:
 
     def access_range(self, addr: int, nbytes: int,
                      write: bool = False) -> Tuple[int, int]:
-        """Access every line in ``[addr, addr+nbytes)`` in one batched call.
+        """Access every line in ``[addr, addr+nbytes)`` in one call.
 
         Returns ``(misses, writebacks)``.  State and statistics evolve
-        exactly as the equivalent sequence of :meth:`access` calls.
+        exactly as the equivalent sequence of :meth:`access` calls; an
+        empty range touches nothing.
         """
+        if nbytes <= 0:
+            return 0, 0
         line = self.config.line_size
         first = addr - (addr % line)
         count = (addr + nbytes - first + line - 1) // line
-        if count <= 0:
-            return 0, 0
         missed, writebacks = self._access_run(first, count, write=write)
         return len(missed), writebacks
 
     def touch_range(self, addr: int, nbytes: int, write: bool = False) -> int:
         """Access every line in ``[addr, addr+nbytes)``; returns miss count."""
-        if nbytes <= 0:
-            return 0
         return self.access_range(addr, nbytes, write=write)[0]
 
     def flush(self) -> int:

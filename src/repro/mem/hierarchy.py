@@ -17,22 +17,21 @@ Stall semantics follow Section 4 of the paper:
 The embedded switch processor uses the same machinery with no L2 and no
 overlap (its caches support only one outstanding request).
 
-Range accesses (``load_range`` / ``store_range``) have a batched fast
-path that walks a whole contiguous scan in one call: the byte range is
-chunked per TLB page (one real TLB access per chunk — the per-line
-re-hits only bump the access counter), each chunk's lines go through
-:meth:`Cache._access_run` in one pass, and only the missed lines consult
-L2/memory, in the same per-line order the scalar path would.  Stall
-picoseconds and statistics accumulate in locals and commit once per
-call, so results — every counter and every stall sum — are bit-identical
-to the per-line path.  The scalar path survives as the reference
-implementation behind ``batched=False`` (or the ``REPRO_MEM_PERLINE``
-environment variable), which the golden-stats equivalence test flips.
+Scans (``load_range`` / ``store_range`` / ``load_stride`` /
+``store_stride``) walk a whole access sequence in one call.  The
+sequence is chunked per TLB page.  Each chunk makes one real TLB
+access (the same-page re-hits only bump the access counter), one L1
+pass (:meth:`Cache._access_run` for whole lines,
+:meth:`Cache._access_each` for records), one L2 pass over the missed
+lines that probes each L2 line once (:meth:`Cache._access_each`
+again), and one open-page walk of memory over the L2 misses
+(:meth:`Rdram.access_lines`).  Every counter and every stall
+sum is bit-identical to issuing the same accesses one ``load`` /
+``store`` at a time, which the per-line oracle in ``tests/mem`` checks.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,7 +72,6 @@ class MemoryHierarchy:
         dtlb: Optional[TLB] = None,
         itlb: Optional[TLB] = None,
         timing: HierarchyTiming = HierarchyTiming(),
-        batched: Optional[bool] = None,
     ):
         self.l1d = l1d
         self.l1i = l1i
@@ -83,21 +81,10 @@ class MemoryHierarchy:
         self.memory = memory
         self.clock = clock
         self.timing = timing
-        #: Use the batched range fast path.  ``REPRO_MEM_PERLINE=1``
-        #: forces the scalar reference path for differential testing.
-        if batched is None:
-            batched = not os.environ.get("REPRO_MEM_PERLINE")
-        self.batched = batched
         # timing and clock are immutable; precompute the L2-hit stall.
         self._l2_hit_ps = clock.cycles(timing.l2_hit_stall_cycles)
-        # The strided fast path reports missed addresses aligned down to
-        # the L1 line; that is invisible to the lower levels only when
-        # every lower-level granularity is a multiple of the L1 line.
-        line = l1d.config.line_size
-        self._stride_batchable = (
-            memory.config.page_size % line == 0
-            and (l2 is None or l2.config.line_size % line == 0)
-            and (dtlb is None or dtlb.config.page_size % line == 0))
+        self._l2_store_ps = round(self._l2_hit_ps
+                                  * timing.store_overlap_factor)
         #: Accumulated stall picoseconds, by cause.
         self.load_stall_ps = 0
         self.store_stall_ps = 0
@@ -107,10 +94,8 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Internal walk
     # ------------------------------------------------------------------
-    def _fill(self, l1: Cache, addr: int, write: bool) -> int:
-        """Stall ps for an access through ``l1`` (data or instruction)."""
-        if l1._access(addr, write) & HIT:
-            return 0
+    def _miss(self, l1: Cache, addr: int, write: bool) -> int:
+        """Stall ps for an ``l1`` miss: L2, then memory."""
         l2 = self.l2
         if l2 is not None:
             code = l2._access(addr, write)
@@ -122,15 +107,21 @@ class MemoryHierarchy:
         # Miss to memory: stall until the first double-word arrives.
         return self.memory.access(addr, nbytes=l1.config.line_size)
 
-    def _translate(self, tlb: Optional[TLB], addr: int) -> int:
-        """Stall ps for address translation (0 on TLB hit)."""
-        if tlb is None or tlb.access(addr):
+    def _translate(self, tlb: TLB, addr: int) -> int:
+        """Stall ps for address translation (0 on TLB hit).
+
+        The stall is also added to :attr:`tlb_stall_ps`.
+        """
+        if tlb.access(addr):
             return 0
         stall = self.clock.cycles(self.timing.tlb_refill_cycles)
         page = addr >> (tlb.config.page_size.bit_length() - 1)
+        l1d = self.l1d
         for ref in range(self.timing.tlb_walk_refs):
             walk_addr = self._PAGE_TABLE_BASE + (page + ref) * 8
-            stall += self._fill(self.l1d, walk_addr, write=False)
+            if not l1d._access(walk_addr, False) & HIT:
+                stall += self._miss(l1d, walk_addr, False)
+        self.tlb_stall_ps += stall
         return stall
 
     # ------------------------------------------------------------------
@@ -138,17 +129,21 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     def load(self, addr: int) -> int:
         """Data load; returns stall picoseconds."""
-        tlb_stall = self._translate(self.dtlb, addr)
-        self.tlb_stall_ps += tlb_stall
-        stall = self._fill(self.l1d, addr, write=False)
+        tlb = self.dtlb
+        tlb_stall = 0 if tlb is None else self._translate(tlb, addr)
+        if self.l1d._access(addr, False) & HIT:
+            return tlb_stall
+        stall = self._miss(self.l1d, addr, False)
         self.load_stall_ps += stall
         return tlb_stall + stall
 
     def store(self, addr: int) -> int:
         """Data store; partially overlapped per the paper's miss window."""
-        tlb_stall = self._translate(self.dtlb, addr)
-        self.tlb_stall_ps += tlb_stall
-        stall = round(self._fill(self.l1d, addr, write=True)
+        tlb = self.dtlb
+        tlb_stall = 0 if tlb is None else self._translate(tlb, addr)
+        if self.l1d._access(addr, True) & HIT:
+            return tlb_stall
+        stall = round(self._miss(self.l1d, addr, True)
                       * self.timing.store_overlap_factor)
         self.store_stall_ps += stall
         return tlb_stall + stall
@@ -157,42 +152,31 @@ class MemoryHierarchy:
         """Software prefetch: warms the caches, never stalls."""
         if self.dtlb is not None:
             self.dtlb.access(addr)
-        self._fill(self.l1d, addr, write=False)
+        if not self.l1d._access(addr, False) & HIT:
+            self._miss(self.l1d, addr, False)
 
     def ifetch(self, addr: int) -> int:
         """Instruction fetch; returns stall picoseconds."""
-        tlb_stall = self._translate(self.itlb, addr)
-        self.tlb_stall_ps += tlb_stall
-        stall = self._fill(self.l1i, addr, write=False)
+        tlb = self.itlb
+        tlb_stall = 0 if tlb is None else self._translate(tlb, addr)
+        if self.l1i._access(addr, False) & HIT:
+            return tlb_stall
+        stall = self._miss(self.l1i, addr, False)
         self.ifetch_stall_ps += stall
         return tlb_stall + stall
 
     def load_range(self, addr: int, nbytes: int) -> int:
         """Sequential loads touching every line of a byte range."""
-        if self.batched:
-            return self._scan_range(addr, nbytes, write=False)
-        line = self.l1d.config.line_size
-        stall = 0
-        first = addr - (addr % line)
-        for line_addr in range(first, addr + nbytes, line):
-            stall += self.load(line_addr)
-        return stall
+        return self._scan_range(addr, nbytes, write=False)
 
     def store_range(self, addr: int, nbytes: int) -> int:
         """Sequential stores touching every line of a byte range."""
-        if self.batched:
-            return self._scan_range(addr, nbytes, write=True)
-        line = self.l1d.config.line_size
-        stall = 0
-        first = addr - (addr % line)
-        for line_addr in range(first, addr + nbytes, line):
-            stall += self.store(line_addr)
-        return stall
+        return self._scan_range(addr, nbytes, write=True)
 
     def load_stride(self, addr: int, stride: int, count: int) -> int:
         """``count`` loads at ``addr, addr+stride, ...`` (record scans)."""
-        if self.batched and self._stride_batchable and stride > 0:
-            return self._scan_stride(addr, stride, count, write=False)
+        if stride > 0:
+            return self._scan(addr, stride, count, write=False)
         stall = 0
         for i in range(count):
             stall += self.load(addr + i * stride)
@@ -200,52 +184,40 @@ class MemoryHierarchy:
 
     def store_stride(self, addr: int, stride: int, count: int) -> int:
         """``count`` stores at ``addr, addr+stride, ...``."""
-        if self.batched and self._stride_batchable and stride > 0:
-            return self._scan_stride(addr, stride, count, write=True)
+        if stride > 0:
+            return self._scan(addr, stride, count, write=True)
         stall = 0
         for i in range(count):
             stall += self.store(addr + i * stride)
         return stall
 
-    def _consult_lower(self, missed, write: bool) -> int:
-        """L2/memory stall for a batch of missed L1 lines, in order.
-
-        Shared tail of the batched scans; store misses keep per-line
-        overlap rounding.
-        """
-        l2 = self.l2
-        memory = self.memory
+    def _scan_range(self, addr: int, nbytes: int, write: bool) -> int:
+        """Every line of ``[addr, addr+nbytes)``; an empty range is free."""
+        if nbytes <= 0:
+            return 0
         line = self.l1d.config.line_size
-        overlap = self.timing.store_overlap_factor
-        stall = 0
-        if l2 is None:
-            if write:
-                for maddr in missed:
-                    stall += round(memory.access(maddr, line) * overlap)
-            else:
-                for maddr in missed:
-                    stall += memory.access(maddr, line)
-            return stall
-        l2_hit_ps = self._l2_hit_ps
-        l2_line = l2.config.line_size
-        for maddr in missed:
-            code = l2._access(maddr, write=write)
-            if code & HIT:
-                ps = l2_hit_ps
-            else:
-                if code & WRITEBACK:
-                    # Off the critical path, bandwidth accounted.
-                    memory.stream(l2_line)
-                ps = memory.access(maddr, line)
-            stall += round(ps * overlap) if write else ps
-        return stall
+        first = addr - (addr % line)
+        count = (addr + nbytes - first + line - 1) // line
+        return self._scan(first, line, count, write)
 
-    def _scan_stride(self, addr: int, stride: int, count: int,
-                     write: bool) -> int:
-        """Batched strided scan, bit-identical to the scalar loop."""
+    def _scan(self, addr: int, stride: int, count: int, write: bool) -> int:
+        """``count`` accesses at ``addr, addr+stride, ...`` in one walk.
+
+        Bit-identical to the per-access loop.  The walk is chunked per
+        TLB page: one real translation covers a chunk (the remaining
+        same-page accesses are hits that only move an already-MRU entry,
+        so they collapse to an access-counter bump), and a page-table
+        walk on a miss goes through the caches before the chunk's own
+        accesses, as the per-access loop orders it.  The chunk's L1
+        misses then consult L2 and memory in order.  Each level sees
+        its own accesses in the per-access order, so its state evolves
+        identically.
+        """
         if count <= 0:
             return 0
         l1d = self.l1d
+        # A line-aligned walk one line apart is a run of whole lines.
+        run = stride == l1d.config.line_size and not addr % stride
         tlb = self.dtlb
         page_size = tlb.config.page_size if tlb is not None else 0
         tlb_stall = 0
@@ -260,63 +232,50 @@ class MemoryHierarchy:
                 tlb.stats.accesses += chunk - 1
             else:
                 chunk = remaining
-            missed, _ = l1d._access_stride(pos, stride, chunk, write=write)
+            if run:
+                missed, _ = l1d._access_run(pos, chunk, write=write)
+            else:
+                missed, _ = l1d._access_each(
+                    range(pos, pos + chunk * stride, stride), write=write)
             fill_stall += self._consult_lower(missed, write)
             pos += chunk * stride
             remaining -= chunk
-        self.tlb_stall_ps += tlb_stall
         if write:
             self.store_stall_ps += fill_stall
         else:
             self.load_stall_ps += fill_stall
         return tlb_stall + fill_stall
 
-    def _scan_range(self, addr: int, nbytes: int, write: bool) -> int:
-        """Batched walk of every line in ``[addr, addr+nbytes)``.
+    def _consult_lower(self, missed, write: bool) -> int:
+        """L2/memory stall for a chunk's missed L1 lines, in order.
 
-        Bit-identical to the scalar loop: the range is chunked per TLB
-        page, one real TLB access covers each chunk (the remaining
-        same-page accesses are hits that only move an already-MRU entry,
-        so they collapse to an access-counter bump), the L1 pass is one
-        :meth:`Cache._access_run`, and the missed lines consult L2 and
-        memory in ascending line order — the order the scalar path
-        produces.  Store misses keep the *per-line* overlap rounding.
+        L2 probes each run of missed lines that share an L2 line once;
+        the repeats are MRU hits.  L2's misses fill from memory in one
+        open-page walk.  A store's stall is rounded per line, but each
+        line costs one of three latencies (L2 hit, page hit, page miss),
+        so the per-line sum is a count times each rounded latency.
         """
-        l1d = self.l1d
-        line = l1d.config.line_size
-        first = addr - (addr % line)
-        end = addr + nbytes
-        count = (end - first + line - 1) // line if end > first else 0
-        if count <= 0:
-            return 0
-        tlb = self.dtlb
-        page_size = tlb.config.page_size if tlb is not None else 0
-        tlb_stall = 0
-        fill_stall = 0
-        pos = first
-        remaining = count
-        while remaining:
-            if tlb is not None:
-                page_end = (pos // page_size + 1) * page_size
-                chunk = min(remaining, (page_end - pos + line - 1) // line)
-                # One real translation covers the chunk; the page-table
-                # walk on a miss goes through the caches before the
-                # chunk's own L1 accesses, exactly as the scalar path
-                # orders it.
-                tlb_stall += self._translate(tlb, pos)
-                tlb.stats.accesses += chunk - 1
-            else:
-                chunk = remaining
-            missed, _ = l1d._access_run(pos, chunk, write=write)
-            fill_stall += self._consult_lower(missed, write)
-            pos += chunk * line
-            remaining -= chunk
-        self.tlb_stall_ps += tlb_stall
-        if write:
-            self.store_stall_ps += fill_stall
+        memory = self.memory
+        l2 = self.l2
+        if l2 is None:
+            fills = missed
+            stall = 0
         else:
-            self.load_stall_ps += fill_stall
-        return tlb_stall + fill_stall
+            fills, writebacks = l2._access_each(missed, write=write)
+            if writebacks:
+                # Off the critical path, bandwidth accounted.
+                memory.stream(writebacks * l2.config.line_size)
+            stall = ((len(missed) - len(fills))
+                     * (self._l2_store_ps if write else self._l2_hit_ps))
+        if not fills:
+            return stall
+        line = self.l1d.config.line_size
+        page_hits = memory.access_lines(fills, line)
+        hit_ps, miss_ps = memory.fill_latencies(line)
+        if write:
+            overlap = self.timing.store_overlap_factor
+            hit_ps, miss_ps = round(hit_ps * overlap), round(miss_ps * overlap)
+        return stall + page_hits * hit_ps + (len(fills) - page_hits) * miss_ps
 
     @property
     def total_stall_ps(self) -> int:
@@ -346,7 +305,6 @@ def build_host_hierarchy(
     memory: Optional[Rdram] = None,
     timing: HierarchyTiming = HierarchyTiming(),
     extra_scale_divisor: int = 1,
-    batched: Optional[bool] = None,
 ) -> MemoryHierarchy:
     """The paper's host hierarchy.
 
@@ -380,14 +338,12 @@ def build_host_hierarchy(
         memory=memory if memory is not None else Rdram(RdramConfig()),
         clock=clock,
         timing=timing,
-        batched=batched,
     )
 
 
 def build_switch_hierarchy(
     clock: Clock,
     memory: Optional[Rdram] = None,
-    batched: Optional[bool] = None,
 ) -> MemoryHierarchy:
     """The embedded switch CPU hierarchy.
 
@@ -404,5 +360,4 @@ def build_switch_hierarchy(
         memory=memory if memory is not None else Rdram(RdramConfig()),
         clock=clock,
         timing=timing,
-        batched=batched,
     )

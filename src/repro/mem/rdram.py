@@ -12,6 +12,7 @@ through memory (I/O buffers, message payloads).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 from ..sim.units import ns, transfer_ps
 
@@ -59,39 +60,73 @@ class Rdram:
         self.stats = RdramStats()
         self._open_pages = [-1] * config.num_banks
         self._page_shift = config.page_size.bit_length() - 1
-        # Burst time is a pure function of nbytes; line fills use only a
-        # handful of sizes, so memoise instead of recomputing the float
-        # division + rounding on every access.
-        self._burst_ps: dict = {}
+        # Transfer time is a pure function of nbytes; line fills and
+        # write-backs use only a handful of sizes, so memoise instead of
+        # recomputing the float division + rounding on every call.
+        self._transfer_ps: dict = {}
+        self._fill_ps: dict = {}
+
+    def _transfer(self, nbytes: int) -> int:
+        ps = self._transfer_ps.get(nbytes)
+        if ps is None:
+            ps = self._transfer_ps[nbytes] = transfer_ps(
+                nbytes, self.config.bandwidth_bytes_per_s)
+        return ps
+
+    def fill_latencies(self, nbytes: int) -> Tuple[int, int]:
+        """``(page hit, page miss)`` latency of one ``nbytes`` line fill."""
+        latencies = self._fill_ps.get(nbytes)
+        if latencies is None:
+            if nbytes <= 0:
+                raise ValueError(f"nbytes must be positive, got {nbytes}")
+            # Data burst after the access latency.
+            burst = self._transfer(nbytes)
+            latencies = self._fill_ps[nbytes] = (
+                self.config.page_hit_ps + burst,
+                self.config.page_miss_ps + burst)
+        return latencies
 
     def access(self, addr: int, nbytes: int = 128) -> int:
         """Latency of one line fill/writeback at ``addr``."""
+        hit_ps, miss_ps = (self._fill_ps.get(nbytes)
+                           or self.fill_latencies(nbytes))
+        return hit_ps if self.access_lines((addr,), nbytes) else miss_ps
+
+    def access_lines(self, addrs: Sequence[int], nbytes: int) -> int:
+        """``nbytes`` line fills at each of ``addrs`` in order, in one call.
+
+        The single copy of the open-page policy: each fill hits if its
+        bank still has the fill's page open, and otherwise opens it.
+        Returns the number of page hits; each fill costs the matching
+        entry of :meth:`fill_latencies`.
+        """
         if nbytes <= 0:
             raise ValueError(f"nbytes must be positive, got {nbytes}")
-        page = addr >> self._page_shift
-        bank = page % self.config.num_banks
-        self.stats.accesses += 1
-        self.stats.bytes_transferred += nbytes
-        if self._open_pages[bank] == page:
-            self.stats.page_hits += 1
-            latency = self.config.page_hit_ps
-        else:
-            self.stats.page_misses += 1
-            self._open_pages[bank] = page
-            latency = self.config.page_miss_ps
-        # Data burst after the access latency.
-        burst = self._burst_ps.get(nbytes)
-        if burst is None:
-            burst = self._burst_ps[nbytes] = transfer_ps(
-                nbytes, self.config.bandwidth_bytes_per_s)
-        return latency + burst
+        open_pages = self._open_pages
+        page_shift = self._page_shift
+        num_banks = self.config.num_banks
+        hits = 0
+        for addr in addrs:
+            page = addr >> page_shift
+            bank = page % num_banks
+            if open_pages[bank] == page:
+                hits += 1
+            else:
+                open_pages[bank] = page
+        count = len(addrs)
+        stats = self.stats
+        stats.accesses += count
+        stats.page_hits += hits
+        stats.page_misses += count - hits
+        stats.bytes_transferred += count * nbytes
+        return hits
 
     def stream(self, nbytes: int) -> int:
         """Bandwidth-limited time for a large sequential transfer."""
         if nbytes < 0:
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")
         self.stats.bytes_transferred += nbytes
-        return transfer_ps(nbytes, self.config.bandwidth_bytes_per_s)
+        return self._transfer(nbytes)
 
     def __repr__(self) -> str:
         return (f"<Rdram {self.config.bandwidth_bytes_per_s / 1e9:g} GB/s, "

@@ -1,13 +1,13 @@
 """Burst-level event batching: mode flags for the block-path fast path.
 
-PR 5 batched the memory hierarchy (one Python call per *range* instead
-of per line, ``REPRO_MEM_PERLINE=1`` restoring the scalar reference).
-This module carries the same contract one layer up, into the transport
-and dispatch layers: the *burst* fast path replaces the per-block
-event cascade (arm Resource round-trips, SCSI/TCA timeouts, wire
-Resource holds, host-CPU Resource grants) with analytic free-at state
-plus a single timeout per burst, computed from exactly the same
-component parameters (see DESIGN.md section 2 and docs/scaling.md).
+The memory hierarchy walks a whole scan in one Python call instead of
+one per line, bit-identical to the per-line walk.  This module carries
+the same contract one layer up, into the transport and dispatch
+layers: the *burst* fast path replaces the per-block event cascade
+(arm Resource round-trips, SCSI/TCA timeouts, wire Resource holds,
+host-CPU Resource grants) with analytic free-at state plus a single
+timeout per burst, computed from exactly the same component parameters
+(see DESIGN.md section 2 and docs/scaling.md).
 
 Two guarantees, enforced by ``tests/sim/test_golden_burst.py``:
 
@@ -39,8 +39,7 @@ __all__ = [
     "fluid_requested", "perblock_requested", "sim_mode_tag",
 ]
 
-#: Debug flag restoring the per-block reference path (mirrors
-#: ``REPRO_MEM_PERLINE`` for the memory hierarchy).
+#: Debug flag restoring the per-block reference path.
 PERBLOCK_ENV = "REPRO_SIM_PERBLOCK"
 
 #: Opt-in approximate fluid mode for steady-state stream phases.

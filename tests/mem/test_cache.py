@@ -94,6 +94,14 @@ def test_touch_range_empty():
     assert cache.touch_range(0, 0) == 0
 
 
+def test_empty_range_at_unaligned_address_touches_nothing():
+    cache = make_cache()
+    assert cache.access_range(5, 0, write=True) == (0, 0)
+    assert cache.touch_range(0x107, 0) == 0
+    assert cache.stats.accesses == 0
+    assert not cache.contains(0)
+
+
 def test_flush_empties_cache():
     cache = make_cache()
     cache.access(0x0, write=True)

@@ -1,9 +1,10 @@
-"""Golden-stats equivalence: batched vs per-line memory hot path.
+"""Golden-stats equivalence: memory scans vs the per-line oracle.
 
-The batched range/stride fast paths in :mod:`repro.mem.hierarchy` claim
-bit-identity with the scalar reference path (``REPRO_MEM_PERLINE=1``).
-These tests prove it the strong way: every paper application, all four
-configurations, run once per path, comparing the full
+The range/stride scans in :mod:`repro.mem.hierarchy` claim bit-identity
+with one scalar ``load``/``store`` per line (the oracle in
+``per_line.py``).  These tests prove it the strong way: every paper
+application, all four configurations, run once with the scans and once
+with the oracle installed, comparing the full
 :class:`CaseResult` (execution time, breakdowns, traffic) and the full
 :class:`MetricsRegistry` snapshot — every ``CacheStats``, TLB, RDRAM,
 and stall-picosecond counter for every CPU in the system — for exact
@@ -21,6 +22,8 @@ from repro.faults.plan import FaultPlan
 from repro.runner.harness import CASE_LABELS, Cell, cell_config
 from repro.runner.spec import paper_grid
 
+from .per_line import install
+
 #: Extra factor on the registry scales — enough work to exercise every
 #: path (TLB chunk boundaries, L2 writebacks, multi-node apps) while
 #: keeping the double grid fast.
@@ -29,14 +32,13 @@ SCALE_FACTOR = 0.05
 _GRID = {spec.label: spec for spec in paper_grid(scale=SCALE_FACTOR)}
 
 
-def _run_case(app, config, perline, monkeypatch):
+def _run_case(app, config, perline):
     """One simulation; returns (CaseResult, metrics snapshot)."""
-    if perline:
-        monkeypatch.setenv("REPRO_MEM_PERLINE", "1")
-    else:
-        monkeypatch.delenv("REPRO_MEM_PERLINE", raising=False)
     sink = {}
-    result = app.run_case(config, metrics_sink=sink)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if perline:
+            install(monkeypatch)
+        result = app.run_case(config, metrics_sink=sink)
     return result, sink
 
 
@@ -51,17 +53,17 @@ def _assert_identical(label, batched, perline):
 
 
 @pytest.mark.parametrize("label", sorted(_GRID))
-def test_batched_path_is_bit_identical(label, monkeypatch):
+def test_batched_path_is_bit_identical(label):
     spec = _GRID[label]
     app = spec.build()
     for case in CASE_LABELS:
         config = cell_config(Cell(spec=spec, case=case, seed=None), app)
-        batched = _run_case(app, config, False, monkeypatch)
-        perline = _run_case(app, config, True, monkeypatch)
+        batched = _run_case(app, config, False)
+        perline = _run_case(app, config, True)
         _assert_identical(f"{label}/{case}", batched, perline)
 
 
-def test_chaos_preset_fault_free_is_bit_identical(monkeypatch):
+def test_chaos_preset_fault_free_is_bit_identical():
     """Same equivalence through the chaos preset (faults zeroed)."""
     from repro.apps.grep import GrepApp
 
@@ -76,17 +78,20 @@ def test_chaos_preset_fault_free_is_bit_identical(monkeypatch):
         cache_scale_divisor=base.cache_scale_divisor,
     )
     for label, case_config in case_configs(config):
-        batched = _run_case(app, case_config, False, monkeypatch)
-        perline = _run_case(app, case_config, True, monkeypatch)
+        batched = _run_case(app, case_config, False)
+        perline = _run_case(app, case_config, True)
         _assert_identical(f"chaos/{label}", batched, perline)
 
 
-def test_perline_flag_controls_path(monkeypatch):
-    """The debug flag actually selects the scalar reference path."""
+def test_oracle_replaces_scan_path(monkeypatch):
+    """Installing the oracle really routes scans through scalar accesses."""
     from repro.mem.hierarchy import build_host_hierarchy
     from repro.sim.units import Clock
 
-    monkeypatch.delenv("REPRO_MEM_PERLINE", raising=False)
-    assert build_host_hierarchy(Clock(2e9)).batched
-    monkeypatch.setenv("REPRO_MEM_PERLINE", "1")
-    assert not build_host_hierarchy(Clock(2e9)).batched
+    install(monkeypatch)
+    hier = build_host_hierarchy(Clock(2e9))
+    hier.load_range(0x1000, 4096)
+    hier.store_stride(0x1000, 100, 50)
+    assert hier.dtlb.stats.accesses == 4096 // 32 + 50
+    with pytest.raises(AssertionError, match="scan path"):
+        hier._scan(0x1000, 32, 1, write=False)

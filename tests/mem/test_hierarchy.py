@@ -1,5 +1,7 @@
 """Unit tests for the memory hierarchy's stall-time accounting."""
 
+import copy
+
 import pytest
 
 from repro.mem import (
@@ -8,6 +10,8 @@ from repro.mem import (
     build_switch_hierarchy,
 )
 from repro.sim import Clock
+
+from .per_line import per_line, state
 
 HOST_CLOCK = Clock(2_000_000_000)
 SWITCH_CLOCK = Clock(500_000_000)
@@ -131,55 +135,38 @@ def test_sequential_scan_misses_at_line_granularity():
 
 
 # ----------------------------------------------------------------------
-# Batched fast path vs scalar reference path
+# Scan path vs the per-line oracle
 # ----------------------------------------------------------------------
-def _state(hier):
-    """Every observable counter and the full cache/TLB/memory state."""
-    state = {
-        "load": hier.load_stall_ps, "store": hier.store_stall_ps,
-        "ifetch": hier.ifetch_stall_ps, "tlb": hier.tlb_stall_ps,
-    }
-    for name in ("l1d", "l1i", "l2"):
-        cache = getattr(hier, name)
-        if cache is not None:
-            state[name] = (vars(cache.stats), cache._sets)
-    for name in ("dtlb", "itlb"):
-        tlb = getattr(hier, name)
-        if tlb is not None:
-            state[name] = (vars(tlb.stats), list(tlb._pages))
-    state["mem"] = (vars(hier.memory.stats), hier.memory._open_pages)
-    return state
-
-
 @pytest.mark.parametrize("build", [build_host_hierarchy,
                                    build_switch_hierarchy])
 @pytest.mark.parametrize("write", [False, True])
 def test_batched_range_matches_scalar(build, write):
     clock = HOST_CLOCK if build is build_host_hierarchy else SWITCH_CLOCK
     fast = build(clock)
-    ref = build(clock)
-    ref.batched = False
+    ref = per_line(build(clock))
     op_fast = fast.store_range if write else fast.load_range
     op_ref = ref.store_range if write else ref.load_range
     # Unaligned starts, page-boundary straddles, re-scans, empty ranges.
     spans = [(0x100010, 5000), (0x100010, 5000), (0x200000, 32),
              (0x0FF0, 64), (0x300007, 0), (0x7FFE0, 100000)]
     for addr, nbytes in spans:
+        before = copy.deepcopy(state(fast))
         assert op_fast(addr, nbytes) == op_ref(addr, nbytes)
-        assert _state(fast) == _state(ref)
+        assert state(fast) == state(ref)
+        if nbytes == 0:
+            assert state(fast) == before
 
 
 @pytest.mark.parametrize("stride", [4, 32, 100, 4096, 5000])
 def test_batched_stride_matches_scalar(stride):
     fast = build_host_hierarchy(HOST_CLOCK)
-    ref = build_host_hierarchy(HOST_CLOCK)
-    ref.batched = False
+    ref = per_line(build_host_hierarchy(HOST_CLOCK))
     for addr, count in [(0x100013, 700), (0x100013, 700), (0x5000, 1)]:
         assert (fast.load_stride(addr, stride, count)
                 == ref.load_stride(addr, stride, count))
         assert (fast.store_stride(addr, stride, count)
                 == ref.store_stride(addr, stride, count))
-        assert _state(fast) == _state(ref)
+        assert state(fast) == state(ref)
 
 
 def test_stride_zero_count_is_noop():

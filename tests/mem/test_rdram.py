@@ -71,3 +71,28 @@ def test_bytes_transferred_accumulates():
     mem.access(0x0, nbytes=128)
     mem.stream(1000)
     assert mem.stats.bytes_transferred == 1128
+
+
+def test_repeated_stream_is_memoised_and_exact():
+    mem = Rdram()
+    first = [mem.stream(n) for n in (128, 1000, 128)]
+    again = [mem.stream(n) for n in (128, 1000, 128)]
+    assert first == again
+    assert first[0] == first[2] == ns(80)
+    assert mem.stats.bytes_transferred == 2 * (128 + 1000 + 128)
+
+
+def test_access_lines_walks_open_pages_in_order():
+    mem = Rdram()
+    # Pages 0, 0, 2, 0, 1, 1, 18; page 18 shares bank 2 with page 2.
+    addrs = [0x0, 0x80, 0x1000, 0x0, 0x900, 0x880, 0x1000 + 16 * 2048]
+    assert mem.access_lines(addrs, 64) == 3
+    assert (mem.stats.accesses, mem.stats.page_misses) == (7, 4)
+    assert mem.stats.bytes_transferred == 7 * 64
+    assert mem._open_pages[:3] == [0, 1, 18]
+    assert mem.fill_latencies(64) == (ns(100) + ns(40), ns(122) + ns(40))
+
+
+def test_access_lines_rejects_nonpositive_size():
+    with pytest.raises(ValueError):
+        Rdram().access_lines([0], 0)
