@@ -171,20 +171,21 @@ def run_bench(specs: Sequence[AppSpec],
 
 
 # ----------------------------------------------------------------------
-# Open-loop service / fabric cells (burst fast path)
+# Open-loop service / fabric cells
 # ----------------------------------------------------------------------
 def service_grid():
     """The open-loop traffic cells the bench times (PR 9 onward).
 
     One single-switch serving cell plus two fat-tree fabric cells —
     the configurations the burst engine (docs/scaling.md) exists for:
-    event-dominated request pipelines at rates the per-block path
-    cannot sustain.  Active-case and just under saturation (~3000 rps
-    against a ~3800 rps ceiling) so every request exercises the whole
-    post/storage/handler/downlink pipeline and the cells measure
-    transport/dispatch throughput, not the memory hierarchy (the
-    standard grid already covers that) and not drop processing; one
-    simulated second keeps the wall-clock large enough to time stably.
+    event-dominated request pipelines at rates the per-block event
+    cascade it replaced could not sustain.  Active-case and just under
+    saturation (~3000 rps against a ~3800 rps ceiling) so every request
+    exercises the whole post/storage/handler/downlink pipeline and the
+    cells measure transport/dispatch throughput, not the memory
+    hierarchy (the standard grid already covers that) and not drop
+    processing; one simulated second keeps the wall-clock large enough
+    to time stably.
     """
     from ..traffic.service import ServiceSpec
 
@@ -212,57 +213,38 @@ def service_cell_key(spec) -> str:
 
 def run_service_bench(specs=None, progress=None,
                       repeats: int = SERVICE_REPEATS) -> dict:
-    """Time the service cells on both simulator paths.
+    """Time the service cells.
 
     Mirrors :func:`run_bench`'s methodology: the app/workload build is
     the separately-timed ``prepare_s``; ``wall_s`` covers exactly one
-    ``_simulate`` call on the (default) burst path.  Each cell also
-    runs the per-block reference path — the pre-burst simulator these
-    cells were infeasible on — records it as ``perblock_wall_s`` /
-    ``speedup_vs_perblock``, and *verifies the two paths' results are
-    identical* before reporting, so every committed snapshot re-proves
-    the equivalence it is advertising.
+    ``_simulate`` call (best of ``repeats``), in exact (non-fluid) mode.
+    Equivalence with the per-block cascade these cells were once timed
+    against is pinned by tests/sim/test_golden_burst.py.
     """
+    import gc
+
     from ..traffic.service import _simulate, build_service_app
 
     if specs is None:
         specs = service_grid()
     cells: Dict[str, dict] = {}
     apps: Dict[str, dict] = {}
-    saved = {name: os.environ.pop(name, None)
-             for name in ("REPRO_SIM_PERBLOCK", "REPRO_SIM_FLUID")}
-
-    def timed(spec, prebuilt, perblock):
-        if perblock:
-            os.environ["REPRO_SIM_PERBLOCK"] = "1"
-        else:
-            os.environ.pop("REPRO_SIM_PERBLOCK", None)
-        import gc
-
-        best, result = None, None
-        for _ in range(max(repeats, 1)):
-            gc.collect()  # don't bill one rep for another's garbage
-            t0 = time.perf_counter()
-            result = _simulate(spec, prebuilt=prebuilt)
-            wall = time.perf_counter() - t0
-            best = wall if best is None else min(best, wall)
-        return best, result
-
+    saved = os.environ.pop("REPRO_SIM_FLUID", None)
     try:
         for spec in specs:
             key = service_cell_key(spec)
             t0 = time.perf_counter()
             prebuilt = build_service_app(spec)
             prepare_s = time.perf_counter() - t0
-            wall_s, result = timed(spec, prebuilt, perblock=False)
-            perblock_s, reference = timed(spec, prebuilt, perblock=True)
-            if result != reference:  # pragma: no cover - equivalence bug
-                raise RuntimeError(
-                    f"{key}: burst and per-block paths disagree")
+            wall_s, result = None, None
+            for _ in range(max(repeats, 1)):
+                gc.collect()  # don't bill one rep for another's garbage
+                t0 = time.perf_counter()
+                result = _simulate(spec, prebuilt=prebuilt)
+                wall = time.perf_counter() - t0
+                wall_s = wall if wall_s is None else min(wall_s, wall)
             cells[key] = {
                 "wall_s": round(wall_s, 6),
-                "perblock_wall_s": round(perblock_s, 6),
-                "speedup_vs_perblock": round(perblock_s / wall_s, 4),
                 "requests_completed": result.completed,
                 "requests_dropped": result.dropped,
                 "p99_latency_us": result.latency_us.get("p99"),
@@ -272,14 +254,10 @@ def run_service_bench(specs=None, progress=None,
                 "wall_s": round(wall_s, 6),
             }
             if progress is not None:
-                progress(f"{key}: {wall_s:.2f}s burst, {perblock_s:.2f}s "
-                         f"per-block ({perblock_s / wall_s:.1f}x)")
+                progress(f"{key}: {wall_s:.2f}s")
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if saved is not None:
+            os.environ["REPRO_SIM_FLUID"] = saved
     return {"cells": cells, "apps": apps}
 
 

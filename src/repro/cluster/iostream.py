@@ -43,9 +43,8 @@ class BlockArrival:
     start_ps: int = 0
     #: Fires when the last byte has arrived.
     end_event: Optional[Event] = None
-    #: Simulation time the last byte arrives — known up front on the
-    #: burst fast path (``None`` on the per-block reference path, where
-    #: only ``end_event`` carries the completion).
+    #: Simulation time the last byte arrives, known when the block is
+    #: issued (``end_event`` fires then).
     end_ps: Optional[int] = None
     #: Functional payload attached by the workload (records, text...).
     payload: Any = None
@@ -128,11 +127,26 @@ class ReadStream:
             yield from self.host.active_request()
 
     def _produce(self):
-        # Decided at first execution (inside ``env.run``, after traces
-        # and fault plans are attached), not at construction.
-        if self.system.burst_ok():
-            yield from self._produce_burst()
-            return
+        """One event per pipeline stage, not per component.
+
+        The storage node's ``serve_read_burst`` prices the request's
+        TCA/SCSI/disk pipeline analytically (disk retries included), so
+        each block costs its request charge, one arrival timeout and one
+        completion wake-up.
+
+        Completions go through a single per-stream finisher process
+        (:meth:`_finish`) instead of a producer-created timeout:
+        symmetric streams finish same-sized blocks at the *same*
+        picosecond, and consumers must wake in the storage pipeline's
+        completion order, which a timeout scheduled at issue time would
+        not reproduce (issue order differs from completion order once
+        the token return is gated by contended downstream links).  The
+        finisher schedules each completion timeout at the previous
+        completion, which keeps tied-picosecond wake order stable.
+        """
+        self._finish_backlog = []
+        self._finish_wake = None
+        self.env.process(self._finish(), name=f"{self._label}.finish")
         for index in range(self.num_blocks):
             yield self._tokens.get(1)
             self._issued += 1
@@ -142,66 +156,6 @@ class ReadStream:
                 trace.instant(self._label, "stream.issue", self.env.now,
                               index=index, bytes=nbytes)
             yield from self._charge_request(nbytes)
-            yield self.env.timeout(self._request_path_ps)
-            offset = self.base_offset + index * self.request_bytes
-
-            started = self.env.event()
-            done = self.env.process(
-                self.storage.serve_read(offset, nbytes, started=started),
-                name=f"serve-read-{index}")
-
-            yield started
-            end_event = self.env.event()
-            self.env.process(
-                self._finish(done, self._last_tail_ps, end_event, nbytes),
-                name=f"block-finish-{index}")
-            yield self.env.timeout(self._first_tail_ps)
-            arrival = BlockArrival(
-                index=index,
-                offset=offset,
-                nbytes=nbytes,
-                start_ps=self.env.now,
-                end_event=end_event,
-                payload=(self.payloads[index]
-                         if self.payloads is not None else None),
-            )
-            if trace is not None:
-                trace.instant(self._label, "stream.arrival", self.env.now,
-                              index=index, bytes=nbytes)
-            yield self._arrivals.put(arrival)
-            self._delivered += 1
-
-    def _produce_burst(self):
-        """One-event-per-stage producer (see repro.sim.burst).
-
-        The per-block path costs ~28 kernel events per block (request
-        charge, TCA/SCSI timeouts, per-spindle arm grants and transfer
-        timeouts, serve/finish processes, tail timeouts); this path
-        computes the same pipeline analytically via the storage node's
-        ``serve_read_burst`` and schedules just the arrival and
-        completion timeouts.  Timestamps, counters, and utilization are
-        bit-identical — proven by tests/sim/test_golden_burst.py.
-
-        Completions go through a single per-stream finisher process
-        (:meth:`_finish_burst`) instead of a producer-created timeout:
-        symmetric streams finish same-sized blocks at the *same*
-        picosecond, and the per-block path wakes those consumers in the
-        storage pipeline's event order, which a timeout scheduled at
-        issue time would not reproduce (issue order differs from
-        completion order once the token return is gated by contended
-        downstream links).  The finisher's timeouts are scheduled at
-        the previous completion — the same instants the per-block
-        path's finish processes schedule theirs — so tied-picosecond
-        wake order is preserved.
-        """
-        self._finish_backlog = []
-        self._finish_wake = None
-        self.env.process(self._finish_burst(), name=f"{self._label}.finish")
-        for index in range(self.num_blocks):
-            yield self._tokens.get(1)
-            self._issued += 1
-            nbytes = self._block_size(index)
-            yield from self._charge_request(nbytes)
             offset = self.base_offset + index * self.request_bytes
             started_ps, done_ps = self.storage.serve_read_burst(
                 self.env.now + self._request_path_ps, offset, nbytes)
@@ -209,7 +163,7 @@ class ReadStream:
                 self.host.hca.account_bulk_in(nbytes)
             end_ps = done_ps + self._last_tail_ps
             end_event = self.env.event()
-            self._finish_backlog.append((done_ps, end_ps, end_event))
+            self._finish_backlog.append((done_ps, end_ps, end_event, nbytes))
             if self._finish_wake is not None:
                 wake, self._finish_wake = self._finish_wake, None
                 wake.succeed()
@@ -225,39 +179,30 @@ class ReadStream:
                 payload=(self.payloads[index]
                          if self.payloads is not None else None),
             )
+            if trace is not None:
+                trace.instant(self._label, "stream.arrival", self.env.now,
+                              index=index, bytes=nbytes)
             yield self._arrivals.put(arrival)
             self._delivered += 1
 
-    def _finish_burst(self):
-        """Succeeds each block's ``end_event`` at its completion time.
-
-        Mirrors the per-block path's finish-process timing: sleep to
-        the block's disk-done instant, then the data tail, then fire —
-        keeping every completion timeout scheduled at the same
-        picosecond (and hence the same event-queue position relative to
-        other streams) as the reference path.
-        """
+    def _finish(self):
+        """Succeeds each block's ``end_event`` at its completion time:
+        sleep to the block's disk-done instant, then the data tail,
+        then fire."""
         for _ in range(self.num_blocks):
             if not self._finish_backlog:
                 self._finish_wake = self.env.event()
                 yield self._finish_wake
-            done_ps, end_ps, end_event = self._finish_backlog.pop(0)
+            done_ps, end_ps, end_event, nbytes = self._finish_backlog.pop(0)
             if done_ps > self.env.now:
                 yield self.env.timeout(done_ps - self.env.now)
             if end_ps > self.env.now:
                 yield self.env.timeout(end_ps - self.env.now)
+            trace = self.env.trace
+            if trace is not None:
+                trace.instant(self._label, "stream.complete", self.env.now,
+                              bytes=nbytes)
             end_event.succeed()
-
-    def _finish(self, done, last_tail_ps: int, end_event, nbytes: int):
-        yield done
-        yield self.env.timeout(last_tail_ps)
-        if not self.to_switch:
-            self.host.hca.account_bulk_in(nbytes)
-        trace = self.env.trace
-        if trace is not None:
-            trace.instant(self._label, "stream.complete", self.env.now,
-                          bytes=nbytes)
-        end_event.succeed()
 
     # ------------------------------------------------------------------
     # Consumer side
@@ -348,19 +293,11 @@ class WriteStream:
             self._commit(offset, nbytes), name=f"write-{offset}"))
 
     def _commit(self, offset: int, nbytes: int):
-        if self.system.burst_ok():
-            done_ps = self.storage.serve_write_burst(
-                self.env.now + self._request_path_ps, offset, nbytes)
-            if not self.from_switch:
-                self.host.hca.account_bulk_out(nbytes)
-            yield self.env.timeout(done_ps - self.env.now)
-            self.bytes_written += nbytes
-            yield self._tokens.put(1)
-            return
-        yield self.env.timeout(self._request_path_ps)
-        yield from self.storage.serve_write(offset, nbytes)
+        done_ps = self.storage.serve_write_burst(
+            self.env.now + self._request_path_ps, offset, nbytes)
         if not self.from_switch:
             self.host.hca.account_bulk_out(nbytes)
+        yield self.env.timeout(done_ps - self.env.now)
         self.bytes_written += nbytes
         yield self._tokens.put(1)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..cpu.host import HOST_FREQ_HZ, HostCPU
-from ..io.disk import DiskArray
+from ..io.disk import DiskArray, replay
 from ..io.os_model import OsCostModel
 from ..io.scsi import ScsiBus
 from ..io.tca import TCA
@@ -68,63 +68,58 @@ class StorageNode:
         self.scsi.attach_faults(injector)
         self.disks.attach_faults(injector)
 
-    def serve_read(self, offset: int, nbytes: int, started=None):
-        """Read ``nbytes`` sequentially and push them onto the SAN.
+    def _accept(self, at_ps: int, nbytes: int) -> int:
+        """TCA request decode, then SCSI arbitration + selection, for a
+        request arriving at ``at_ps``; returns when the data phase
+        starts."""
+        self.tca.requests_processed += 1
+        self.scsi.stats.transactions += 1
+        self.scsi.stats.bytes += nbytes
+        return (at_ps + self.tca.tca_config.request_processing_ps
+                + self.scsi.config.transaction_overhead_ps)
 
-        Completes when the last byte has left the storage node.  The
-        SCSI data phase (320 MB/s) overlaps the disk transfer
+    def serve_read_burst(self, at_ps: int, offset: int, nbytes: int):
+        """Schedule a sequential read arriving at the TCA at ``at_ps``.
+
+        The SCSI data phase (320 MB/s) overlaps the disk transfer
         (100 MB/s aggregate), so the disks are the bottleneck; the bus
         contributes its per-transaction arbitration + selection
-        overhead up front.  ``started`` fires when data begins flowing.
-        """
-        yield from self.tca.process_request()
-        yield self.env.timeout(self.scsi.config.transaction_overhead_ps)
-        self.scsi.stats.transactions += 1
-        self.scsi.stats.bytes += nbytes
-        yield from self.disks.read(offset, nbytes, started=started)
-        self.tca.traffic.bytes_out += nbytes
-
-    def serve_write(self, offset: int, nbytes: int):
-        """Accept ``nbytes`` from the SAN and commit them to disk."""
-        yield from self.tca.process_request()
-        yield self.env.timeout(self.scsi.config.transaction_overhead_ps)
-        self.scsi.stats.transactions += 1
-        self.scsi.stats.bytes += nbytes
-        yield from self.disks.write(offset, nbytes)
-        self.tca.traffic.bytes_in += nbytes
-
-    # ------------------------------------------------------------------
-    # Burst fast path (see repro.sim.burst)
-    # ------------------------------------------------------------------
-    def serve_read_burst(self, at_ps: int, offset: int, nbytes: int):
-        """Analytic mirror of :meth:`serve_read`: zero kernel events.
-
-        ``at_ps`` is when the request arrives at the TCA; requests must
-        come in nondecreasing ``at_ps`` order (callers issue at real
-        simulated time, so this holds by construction).  Returns
+        overhead up front.  Zero kernel events: requests must come in
+        nondecreasing ``at_ps`` order (callers issue at real simulated
+        time, so this holds by construction).  Returns
         ``(started_ps, done_ps)`` — when the first data flows and when
         the last byte leaves the node — with every TCA/SCSI/disk
-        counter updated exactly as the event-driven path would.
+        counter updated.
         """
-        t = at_ps + self.tca.tca_config.request_processing_ps
-        self.tca.requests_processed += 1
-        t += self.scsi.config.transaction_overhead_ps
-        self.scsi.stats.transactions += 1
-        self.scsi.stats.bytes += nbytes
-        started, done = self.disks.read_burst(t, offset, nbytes)
+        started, done = self.disks.read_burst(self._accept(at_ps, nbytes),
+                                              offset, nbytes)
         self.tca.traffic.bytes_out += nbytes
         return started, done
 
     def serve_write_burst(self, at_ps: int, offset: int, nbytes: int):
-        """Analytic mirror of :meth:`serve_write`; returns ``done_ps``."""
-        t = at_ps + self.tca.tca_config.request_processing_ps
-        self.tca.requests_processed += 1
-        t += self.scsi.config.transaction_overhead_ps
-        self.scsi.stats.transactions += 1
-        self.scsi.stats.bytes += nbytes
-        _, done = self.disks.write_burst(t, offset, nbytes)
+        """Schedule a write from the SAN arriving at ``at_ps``; returns
+        ``done_ps``, when the last byte is committed to disk."""
+        _, done = self.disks.write_burst(self._accept(at_ps, nbytes),
+                                         offset, nbytes)
         self.tca.traffic.bytes_in += nbytes
         return done
+
+    def serve_read(self, offset: int, nbytes: int, started=None):
+        """Read ``nbytes`` sequentially and push them onto the SAN;
+        completes when the last byte has left the storage node.
+
+        The event-driven face of :meth:`serve_read_burst`: ``started``
+        fires when data begins flowing.
+        """
+        started_ps, done_ps = self.serve_read_burst(self.env.now, offset,
+                                                    nbytes)
+        yield from replay(self.env, started_ps, done_ps, started)
+
+    def serve_write(self, offset: int, nbytes: int):
+        """Accept ``nbytes`` from the SAN and commit them to disk (the
+        event-driven face of :meth:`serve_write_burst`)."""
+        done_ps = self.serve_write_burst(self.env.now, offset, nbytes)
+        yield from replay(self.env, done_ps, done_ps)
 
     def __repr__(self) -> str:
         return f"<StorageNode {self.name}>"

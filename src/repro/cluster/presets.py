@@ -86,11 +86,19 @@ def service_2003(**overrides) -> ClusterConfig:
 def chaos_2003(seed: int = 0, **overrides) -> ClusterConfig:
     """The paper testbed under a deterministic storm of faults.
 
-    Per-packet link loss and bit errors, transient disk read errors,
-    SCSI parity errors, and a low handler crash rate — every schedule a
-    pure function of ``seed``.  The recovery machinery (retransmission,
-    retries, quarantine + cut-through fallback) keeps results correct;
-    the run report shows what it cost.
+    The plan sets per-packet link loss and bit errors, transient disk
+    read/write errors, SCSI parity errors, and a low handler crash rate
+    — every schedule a pure function of ``seed``.  The recovery
+    machinery (retransmission, retries, quarantine + cut-through
+    fallback) keeps results correct; the run report shows what it cost.
+
+    Which of them fire depends on the traffic.  Link and handler faults
+    act on packets, so they hit reductions and fabric collectives, not
+    the block path that the stream apps and ``serve()`` use: there a
+    chaos run injects disk errors only.  SCSI parity faults never fire
+    in any pipeline: storage nodes charge the bus's
+    ``transaction_overhead_ps`` directly instead of calling
+    ``ScsiBus.transaction``, so ``scsi_parity_errors`` is always 0.
     """
     base = ClusterConfig(
         seed=seed,

@@ -23,12 +23,11 @@ from typing import Dict, List, Optional
 import heapq
 from collections import deque
 
+from ..cpu.accounting import charge
 from ..net.link import Link
 from ..net.packet import HEADER_BYTES, MTU
 from ..obs.registry import MetricsRegistry
-from ..sim.burst import perblock_requested
 from ..sim.core import Environment
-from ..sim.resources import Store
 from ..sim.units import transfer_ps
 from ..switch.active import ActiveSwitch
 from ..switch.base import BaseSwitch
@@ -87,28 +86,20 @@ class System:
             self.storage_nodes.append(node)
             port += 1
 
-        #: Block-level pool of embedded CPUs (active systems only).
-        self.switch_cpu_pool: Optional[Store] = None
-        #: Burst-path stand-in for the pool: ``(free_at_ps, seq, cpu)``
-        #: min-heap, popped/pushed by :meth:`process_on_switch`.  The
-        #: heap only goes empty while an event-waiting caller holds a
-        #: CPU across a real yield; ``_cpu_waiters`` queues arrivals in
-        #: FIFO order for that window, mirroring the Store's get queue.
+        #: Block-level pool of embedded CPUs (active systems only): a
+        #: ``(free_at_ps, seq, cpu)`` min-heap, popped/pushed by
+        #: :meth:`process_on_switch`.  Popping the earliest-free entry
+        #: grants CPUs FIFO, earliest-freed first.  The heap only goes
+        #: empty while an event-waiting caller holds a CPU across a real
+        #: yield; ``_cpu_waiters`` queues arrivals in FIFO order for
+        #: that window.
         self._cpu_ready = None
         self._cpu_seq = 0
         self._cpu_waiters = deque()
         if config.active:
-            self.switch_cpu_pool = Store(self.env)
-            for cpu in self.switch.cpus:
-                self.switch_cpu_pool.items.append(cpu)
             self._cpu_ready = [(0, i, cpu)
                                for i, cpu in enumerate(self.switch.cpus)]
             self._cpu_seq = len(self.switch.cpus)
-
-        #: Burst fast path eligibility (see repro.sim.burst).  Fault
-        #: injection needs the event-driven retry loops, so any attached
-        #: injector pins the run to the per-block reference path.
-        self._burst = self.injector is None and not perblock_requested()
 
         #: Unified metric namespace over every component's counters;
         #: pull-based, so registration costs nothing at simulation time.
@@ -198,16 +189,6 @@ class System:
                        "ifetch_stall_ps", "tlb_stall_ps"):
             m.register(f"{prefix}.{bucket}",
                        lambda h=hierarchy, b=bucket: getattr(h, b))
-
-    def burst_ok(self) -> bool:
-        """True when the burst fast path may replace the per-block one.
-
-        Checked at use time (not construction) because structured
-        tracing — which needs the real per-event spans — is attached
-        after the system is built.  Bit-identity between the two paths
-        is enforced by tests/sim/test_golden_burst.py.
-        """
-        return self._burst and self.env.trace is None
 
     def attach_trace(self, collector) -> None:
         """Attach a ``repro.obs.TraceCollector``: every instrumented
@@ -370,17 +351,8 @@ class System:
             return
             yield  # pragma: no cover
         _, from_switch = self._links[host.name]
-        if self.burst_ok():
-            start, end = self._reserve_wires((from_switch,),
-                                             from_switch.occupancy_ps(nbytes))
-            if start > self.env.now:
-                yield self.env.timeout(start - self.env.now)
-            yield self.env.timeout(end - self.env.now)
-            host.hca.account_bulk_in(nbytes)
-            return
-        with from_switch.acquire().request() as grant:
-            yield grant
-            yield self.env.timeout(from_switch.occupancy_ps(nbytes))
+        yield from self._hold_wires((from_switch,),
+                                    from_switch.occupancy_ps(nbytes))
         host.hca.account_bulk_in(nbytes)
 
     def host_to_host_bulk(self, src: ComputeNode, dst: ComputeNode,
@@ -397,19 +369,7 @@ class System:
         _, from_switch = self._links[dst.name]
         hold_ps = (to_switch.occupancy_ps(nbytes)
                    + self.config.switch.routing_latency_ps)
-        if self.burst_ok():
-            start, end = self._reserve_wires((to_switch, from_switch),
-                                             hold_ps)
-            if start > self.env.now:
-                yield self.env.timeout(start - self.env.now)
-            yield self.env.timeout(end - self.env.now)
-            src.hca.account_bulk_out(nbytes)
-            dst.hca.account_bulk_in(nbytes)
-            return
-        with to_switch.acquire().request() as up, \
-                from_switch.acquire().request() as down:
-            yield self.env.all_of([up, down])
-            yield self.env.timeout(hold_ps)
+        yield from self._hold_wires((to_switch, from_switch), hold_ps)
         src.hca.account_bulk_out(nbytes)
         dst.hca.account_bulk_in(nbytes)
 
@@ -423,35 +383,20 @@ class System:
             return
             yield  # pragma: no cover
         _, from_switch = self._links[dst_name]
-        if self.burst_ok():
-            start, end = self._reserve_wires((from_switch,),
-                                             from_switch.occupancy_ps(nbytes))
-            if start > self.env.now:
-                yield self.env.timeout(start - self.env.now)
-            yield self.env.timeout(end - self.env.now)
-            return
-        with from_switch.acquire().request() as grant:
-            yield grant
-            yield self.env.timeout(from_switch.occupancy_ps(nbytes))
+        yield from self._hold_wires((from_switch,),
+                                    from_switch.occupancy_ps(nbytes))
 
-    def _reserve_wires(self, links, hold_ps: int):
-        """Burst-path wire arbitration: reserve ``links`` jointly for
-        ``hold_ps`` starting at their common free time, returning the
-        ``(grant, release)`` times.
+    @staticmethod
+    def _reserve_wires(links, ready_ps: int, hold_ps: int):
+        """Bulk wire arbitration: reserve ``links`` jointly for
+        ``hold_ps`` from the later of ``ready_ps`` and their common free
+        time; returns the ``(grant, release)`` times.
 
-        Callers arrive in nondecreasing ``env.now`` order, so the
-        scalar free-at state grants in exactly the FIFO order the
-        per-block path's wire Resources would.  Callers must sleep to
-        ``grant`` *first* and only then schedule the hold as its own
-        timeout: the per-block path schedules its occupancy timeout at
-        the grant instant, and two transfers releasing at the same
-        picosecond are processed in grant order — a single call-time
-        timeout would invert that order and shift downstream FIFO
-        queues.  Bulk reservations never touch ``link.busy`` —
-        matching the event-driven bulk helpers, whose utilization
-        figure is documented as packet-path-only.
+        Callers arrive in nondecreasing ``ready_ps`` order, so the
+        scalar free-at state grants FIFO.  Bulk holds never touch
+        ``link.busy``: link utilization is a packet-path figure.
         """
-        start = self.env.now
+        start = ready_ps
         for link in links:
             if link.bulk_free_ps > start:
                 start = link.bulk_free_ps
@@ -460,6 +405,21 @@ class System:
             link.bulk_free_ps = end
         return start, end
 
+    def _hold_wires(self, links, hold_ps: int):
+        """Hold ``links`` from now (see :meth:`_reserve_wires`);
+        completes at the release.
+
+        Sleeps to the grant *first* and only then schedules the
+        occupancy as its own timeout: two transfers releasing at the
+        same picosecond are then processed in grant order — a single
+        call-time timeout would invert that order and shift downstream
+        FIFO queues.
+        """
+        start, end = self._reserve_wires(links, self.env.now, hold_ps)
+        if start > self.env.now:
+            yield self.env.timeout(start - self.env.now)
+        yield self.env.timeout(end - self.env.now)
+
     # ------------------------------------------------------------------
     # Block-level handler execution
     # ------------------------------------------------------------------
@@ -467,21 +427,25 @@ class System:
         """The CPU the next :meth:`process_on_switch` call would grant.
 
         Apps pre-evaluate a block's handler cache stalls on the CPU
-        that will run it; this mirrors the pool's FIFO head on both the
-        per-block path (Store head) and the burst path (earliest-free
-        heap entry), falling back to cpu 0 when every CPU is in flight
-        — exactly the ``pool.items[0] if pool.items else cpus[0]``
-        idiom the apps used against the Store directly.
+        that will run it: the earliest-free pool entry if it is free
+        now, else cpu 0.
         """
-        if self.switch_cpu_pool is None:
+        if self._cpu_ready is None:
             raise RuntimeError("switch_cpu_peek requires an active system")
-        if self.burst_ok():
-            if not self._cpu_ready:
-                return self.switch.cpus[0]
-            ready_ps, _, cpu = self._cpu_ready[0]
-            return cpu if ready_ps <= self.env.now else self.switch.cpus[0]
-        return (self.switch_cpu_pool.items[0]
-                if self.switch_cpu_pool.items else self.switch.cpus[0])
+        return self.switch_cpu_peek_at(self.env.now)
+
+    def switch_cpu_peek_at(self, now_ps: int):
+        """:meth:`switch_cpu_peek` at an explicit instant.
+
+        The open-loop service worker evaluates a request's handler
+        stalls before it has advanced the clock to the dispatch time;
+        passing that time keeps the peek identical to what a caller
+        arriving then would see.
+        """
+        if not self._cpu_ready:
+            return self.switch.cpus[0]
+        ready_ps, _, cpu = self._cpu_ready[0]
+        return cpu if ready_ps <= now_ps else self.switch.cpus[0]
 
     def _cpu_pop(self):
         """Claim the earliest-free pool entry, queueing FIFO while an
@@ -498,19 +462,27 @@ class System:
         if self._cpu_waiters:
             self._cpu_waiters.popleft().succeed()
 
-    def _process_on_switch_burst(self, cycles: float, stall_ps: int,
-                                 arrival_end_event, arrival_end_ps):
-        """Burst-pool handler execution: pop the earliest-free CPU,
-        replay the grant/pre-wait/work/post-wait arithmetic, push it
-        back with its new free time.
+    def process_on_switch(self, cycles: float, stall_ps: int,
+                          arrival_end_event=None, arrival_end_ps=None):
+        """Run one block's worth of handler work on a free switch CPU.
 
-        Popping at call time is the Store's FIFO: waiters are assigned
-        CPUs in arrival order, earliest-freed first.  When the arrival
-        completion time is known (``arrival_end_ps``) the whole body is
-        analytic — one timeout.  A caller that only has the completion
-        *event* still shares the same pool state; it walks to the grant
-        time and waits the event for real.
+        The handler computes while the block streams in (valid-bit
+        overlap): completion is ``max(compute done, arrival done)``.
+        Waiting for data beyond the compute time is charged as switch
+        CPU stall (stalled on invalid buffer lines).  With
+        ``cut_through=False`` (the store-and-forward ablation) the
+        handler may not start until the whole block is in.
+
+        Pops the earliest-free CPU at call time — the pool's FIFO:
+        waiters are assigned CPUs in arrival order, earliest-freed
+        first.  When the arrival completion time is known
+        (``arrival_end_ps``, from :class:`~repro.cluster.BlockArrival`)
+        the whole body is analytic — one timeout.  A caller that only
+        has the completion *event* shares the same pool state; it
+        walks to the grant time and waits on the event for real.
         """
+        if self._cpu_ready is None:
+            raise RuntimeError("process_on_switch requires an active system")
         ready_ps, _, cpu = yield from self._cpu_pop()
         now = self.env.now
         acct = cpu.accounting
@@ -534,10 +506,7 @@ class System:
                 and arrival_end_ps > t:
             acct.add_stall(arrival_end_ps - t)
             t = arrival_end_ps
-        work_ps = cpu.clock.cycles(cycles)
-        acct.add_busy(work_ps)
-        acct.add_stall(stall_ps)
-        t += work_ps + stall_ps
+        t = charge(cpu, t, cpu.clock.cycles(cycles), stall_ps)
         if arrival_end_ps is not None and arrival_end_ps > t:
             acct.add_stall(arrival_end_ps - t)
             t = arrival_end_ps
@@ -546,38 +515,21 @@ class System:
             yield self.env.timeout(t - now)
         return cpu
 
-    def switch_cpu_peek_at(self, now_ps: int):
-        """Burst-pool :meth:`switch_cpu_peek` at an explicit instant.
-
-        The open-loop service worker evaluates a request's handler
-        stalls before it has advanced the clock to the dispatch time;
-        passing that time keeps the peek identical to what the staged
-        path would see when it got there.
-        """
-        if not self._cpu_ready:
-            return self.switch.cpus[0]
-        ready_ps, _, cpu = self._cpu_ready[0]
-        return cpu if ready_ps <= now_ps else self.switch.cpus[0]
-
     def process_on_switch_at(self, ready_ps: int, cycles: float,
                              stall_ps: int) -> int:
         """Analytic handler dispatch at an explicit ready time.
 
-        The zero-yield twin of the burst branch of
-        :meth:`process_on_switch` for callers (the service worker) that
-        know when the block is ready before the clock gets there.
-        Callers must issue in nondecreasing ``ready_ps`` order — the
-        service pipeline's post/storage stages are FIFO, so dispatch
-        order is completion order and the pool grants exactly as the
-        staged path would.  Returns the completion time.
+        The zero-yield twin of :meth:`process_on_switch` for callers
+        (the service worker) that know when the block is ready before
+        the clock gets there.  Callers must issue in nondecreasing
+        ``ready_ps`` order — the service pipeline's post/storage stages
+        are FIFO, so dispatch order is completion order and the pool
+        grants exactly as a staged walk would.  Returns the completion
+        time.
         """
         free_ps, _, cpu = heapq.heappop(self._cpu_ready)
-        t = ready_ps if ready_ps > free_ps else free_ps
-        acct = cpu.accounting
-        work_ps = cpu.clock.cycles(cycles)
-        acct.add_busy(work_ps)
-        acct.add_stall(stall_ps)
-        t += work_ps + stall_ps
+        t = charge(cpu, ready_ps if ready_ps > free_ps else free_ps,
+                   cpu.clock.cycles(cycles), stall_ps)
         self._cpu_push(t, cpu)
         return t
 
@@ -593,51 +545,10 @@ class System:
         if nbytes <= 0:
             return ready_ps
         _, from_switch = self._links[host.name]
-        start = ready_ps
-        if from_switch.bulk_free_ps > start:
-            start = from_switch.bulk_free_ps
-        end = start + from_switch.occupancy_ps(nbytes)
-        from_switch.bulk_free_ps = end
+        _, end = self._reserve_wires((from_switch,), ready_ps,
+                                     from_switch.occupancy_ps(nbytes))
         host.hca.account_bulk_in(nbytes)
         return end
-
-    def process_on_switch(self, cycles: float, stall_ps: int,
-                          arrival_end_event=None, arrival_end_ps=None):
-        """Run one block's worth of handler work on a free switch CPU.
-
-        The handler computes while the block streams in (valid-bit
-        overlap): completion is ``max(compute done, arrival done)``.
-        Waiting for data beyond the compute time is charged as switch
-        CPU stall (stalled on invalid buffer lines).
-
-        ``arrival_end_ps`` is the burst-path twin of
-        ``arrival_end_event`` — the arrival completion time, known
-        analytically up front.  Pass both when available; callers that
-        only have the event still work on either path.
-        """
-        if self.switch_cpu_pool is None:
-            raise RuntimeError("process_on_switch requires an active system")
-        if self.burst_ok():
-            cpu = yield from self._process_on_switch_burst(
-                cycles, stall_ps, arrival_end_event, arrival_end_ps)
-            return cpu
-        cpu = yield self.switch_cpu_pool.get()
-        try:
-            if not self.config.cut_through and arrival_end_event is not None \
-                    and not arrival_end_event.processed:
-                # Store-and-forward ablation: no valid-bit overlap — the
-                # handler may not start until the whole block is in.
-                wait_start = self.env.now
-                yield arrival_end_event
-                cpu.accounting.add_stall(self.env.now - wait_start)
-            yield from cpu.work(busy_cycles=cycles, stall_ps=stall_ps)
-            if arrival_end_event is not None and not arrival_end_event.processed:
-                wait_start = self.env.now
-                yield arrival_end_event
-                cpu.accounting.add_stall(self.env.now - wait_start)
-        finally:
-            yield self.switch_cpu_pool.put(cpu)
-        return cpu
 
     def __repr__(self) -> str:
         return (f"<System {self.config.case_label}: {len(self.hosts)} hosts, "

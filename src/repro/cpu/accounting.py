@@ -74,3 +74,35 @@ class CpuAccounting:
 
     def __repr__(self) -> str:
         return f"<CpuAccounting {self.label}: busy={self.busy_ps} stall={self.stall_ps}>"
+
+
+def charge(cpu, start_ps: int, busy_ps: int, stall_ps: int = 0) -> int:
+    """Account ``busy_ps`` + ``stall_ps`` on ``cpu`` starting at
+    ``start_ps``; returns when the charge ends.
+
+    The one place a CPU charge is accounted and traced: :func:`occupy`
+    sleeps through it at ``env.now``, and the analytic transport prices
+    charges at future instants without a kernel event.  A non-zero
+    charge emits one ``cpu.work`` span when a trace collector is
+    attached.
+    """
+    acct = cpu.accounting
+    acct.add_busy(busy_ps)
+    if stall_ps:
+        acct.add_stall(stall_ps)
+    total = busy_ps + stall_ps
+    if total > 0:
+        trace = cpu.env.trace
+        if trace is not None:
+            trace.span(cpu.name, "cpu.work", start_ps, total,
+                       busy_ps=busy_ps, stall_ps=stall_ps)
+    return start_ps + total
+
+
+def occupy(cpu, busy_ps: int, stall_ps: int = 0):
+    """Process-able generator: :func:`charge` ``cpu`` from now and
+    sleep until the charge ends."""
+    now = cpu.env.now
+    end = charge(cpu, now, busy_ps, stall_ps)
+    if end > now:
+        yield cpu.env.timeout(end - now)

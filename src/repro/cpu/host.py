@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 from ..mem.hierarchy import MemoryHierarchy
 from ..sim.core import Environment
 from ..sim.units import Clock
-from .accounting import CpuAccounting
+from .accounting import CpuAccounting, occupy
 
 #: Paper host clock: 2 GHz.
 HOST_FREQ_HZ = 2_000_000_000
@@ -62,36 +62,15 @@ class HostCPU:
     def work(self, busy_cycles: float = 0, stall_ps: int = 0):
         """Execute ``busy_cycles`` of computation plus ``stall_ps`` of
         memory stalls; returns a process-able generator."""
-        busy_ps = self.clock.cycles(busy_cycles)
-        self.accounting.add_busy(busy_ps)
-        self.accounting.add_stall(stall_ps)
-        total = busy_ps + stall_ps
-        if total > 0:
-            trace = self.env.trace
-            if trace is not None:
-                trace.span(self.name, "cpu.work", self.env.now, total,
-                           busy_ps=busy_ps, stall_ps=stall_ps)
-            yield self.env.timeout(total)
+        return occupy(self, self.clock.cycles(busy_cycles), stall_ps)
 
     def busy(self, duration_ps: int):
         """Occupy the CPU with non-cache busy time (e.g. OS overhead)."""
-        self.accounting.add_busy(duration_ps)
-        if duration_ps > 0:
-            trace = self.env.trace
-            if trace is not None:
-                trace.span(self.name, "cpu.work", self.env.now, duration_ps,
-                           busy_ps=duration_ps, stall_ps=0)
-            yield self.env.timeout(duration_ps)
+        return occupy(self, duration_ps, 0)
 
     def stall(self, duration_ps: int):
         """Explicit stall time (charged to the cache-stall bucket)."""
-        self.accounting.add_stall(duration_ps)
-        if duration_ps > 0:
-            trace = self.env.trace
-            if trace is not None:
-                trace.span(self.name, "cpu.work", self.env.now, duration_ps,
-                           busy_ps=0, stall_ps=duration_ps)
-            yield self.env.timeout(duration_ps)
+        return occupy(self, 0, duration_ps)
 
     def __repr__(self) -> str:
         return f"<HostCPU {self.name} @ {self.clock.freq_hz / 1e9:g} GHz>"

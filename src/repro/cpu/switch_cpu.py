@@ -17,7 +17,7 @@ from typing import Optional
 from ..mem.hierarchy import MemoryHierarchy, build_switch_hierarchy
 from ..sim.core import Environment
 from ..sim.units import Clock
-from .accounting import CpuAccounting
+from .accounting import CpuAccounting, occupy
 
 #: Paper switch clock: 500 MHz (host runs at 4x this speed).
 SWITCH_FREQ_HZ = 500_000_000
@@ -71,16 +71,7 @@ class SwitchCPU:
     # ------------------------------------------------------------------
     def work(self, busy_cycles: float = 0, stall_ps: int = 0):
         """Run handler computation on this core."""
-        busy_ps = self.clock.cycles(busy_cycles)
-        self.accounting.add_busy(busy_ps)
-        self.accounting.add_stall(stall_ps)
-        total = busy_ps + stall_ps
-        if total > 0:
-            trace = self.env.trace
-            if trace is not None:
-                trace.span(self.name, "cpu.work", self.env.now, total,
-                           busy_ps=busy_ps, stall_ps=stall_ps)
-            yield self.env.timeout(total)
+        return occupy(self, self.clock.cycles(busy_cycles), stall_ps)
 
     def send_buffer(self):
         """Cycle cost of the send-data-buffer instruction."""

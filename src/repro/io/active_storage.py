@@ -23,12 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..cluster.node import StorageNode
 from ..cpu.switch_cpu import SwitchCPU
 from ..sim.core import Environment
 from ..sim.units import Clock
-from .disk import DiskArray
-from .scsi import ScsiBus
-from .tca import TCA, TcaConfig
 
 
 @dataclass(frozen=True)
@@ -47,51 +45,23 @@ class ActiveStorageConfig:
             raise ValueError("filter setup cost cannot be negative")
 
 
-class ActiveStorageNode:
+class ActiveStorageNode(StorageNode):
     """A storage target with an embedded filtering processor.
 
-    Mirrors :class:`repro.cluster.node.StorageNode`'s interface
+    Keeps :class:`repro.cluster.node.StorageNode`'s interface
     (``serve_read`` / ``serve_write``) and adds
     :meth:`serve_filtered_read`.
     """
 
     def __init__(self, env: Environment, name: str, cluster_config,
                  active_config: ActiveStorageConfig = ActiveStorageConfig()):
-        self.env = env
-        self.name = name
-        self.config = cluster_config
+        super().__init__(env, name, cluster_config)
         self.active_config = active_config
-        self.tca = TCA(env, name, config=cluster_config.tca)
-        self.scsi = ScsiBus(env, f"{name}-scsi", config=cluster_config.scsi)
-        self.disks = DiskArray(env, f"{name}-disks",
-                               num_disks=cluster_config.num_disks,
-                               config=cluster_config.disk)
         self.cpu = SwitchCPU(env, cpu_id=0, name=f"{name}-cpu",
                              clock=Clock(active_config.cpu_freq_hz))
         #: Bytes shipped onto the fabric after device-side filtering.
         self.filtered_bytes_out = 0
         self.unfiltered_bytes_read = 0
-
-    # ------------------------------------------------------------------
-    # Plain passthrough (same as StorageNode)
-    # ------------------------------------------------------------------
-    def serve_read(self, offset: int, nbytes: int, started=None):
-        """Unfiltered read: identical to the passive storage node."""
-        yield from self.tca.process_request()
-        yield self.env.timeout(self.scsi.config.transaction_overhead_ps)
-        self.scsi.stats.transactions += 1
-        self.scsi.stats.bytes += nbytes
-        yield from self.disks.read(offset, nbytes, started=started)
-        self.tca.traffic.bytes_out += nbytes
-
-    def serve_write(self, offset: int, nbytes: int):
-        """Unfiltered write: identical to the passive storage node."""
-        yield from self.tca.process_request()
-        yield self.env.timeout(self.scsi.config.transaction_overhead_ps)
-        self.scsi.stats.transactions += 1
-        self.scsi.stats.bytes += nbytes
-        yield from self.disks.write(offset, nbytes)
-        self.tca.traffic.bytes_in += nbytes
 
     # ------------------------------------------------------------------
     # Device-side filtering

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from ..metrics.sampling import BusyTracker
 from ..sim.core import Environment
-from ..sim.resources import Resource
 from ..sim.units import SEC, ms, transfer_ps
 
 
@@ -63,8 +62,30 @@ class DiskStats:
     retries: int = 0
 
 
+def replay(env: Environment, started_ps: int, done_ps: int, started=None):
+    """Sleep through an analytic ``(started_ps, done_ps)`` schedule.
+
+    The event-driven face of the analytic storage pipeline: ``started``,
+    if given, fires when data begins to flow; the generator completes
+    when the last byte has moved.
+    """
+    if started is not None:
+        if started_ps > env.now:
+            yield env.timeout(started_ps - env.now)
+        started.succeed()
+    if done_ps > env.now:
+        yield env.timeout(done_ps - env.now)
+
+
 class Disk:
-    """One disk spindle with a single request queue (the arm)."""
+    """One disk spindle with a single FIFO request queue (the arm).
+
+    The arm is analytic state, not a simulation resource: it is free at
+    ``_arm_free_ps``, so a request reaching it at ``at_ps`` starts at
+    ``max(at_ps, _arm_free_ps)``.  Every issuer runs at real simulated
+    time and hands requests over in nondecreasing ``at_ps`` order, which
+    makes that scalar exactly a FIFO queue.
+    """
 
     def __init__(self, env: Environment, name: str,
                  config: DiskConfig = DiskConfig()):
@@ -72,11 +93,9 @@ class Disk:
         self.name = name
         self.config = config
         self.stats = DiskStats()
-        self.arm = Resource(env, capacity=1, name=f"{name}.arm")
         self.busy = BusyTracker(env)
         self._head_position = -1  # byte offset after the last transfer
-        #: When the arm finishes its last analytically-scheduled request
-        #: (the burst path's stand-in for the ``arm`` Resource queue).
+        #: When the arm finishes the last request handed to it.
         self._arm_free_ps = 0
         self._injector = None
         env.add_context_provider(self._failure_context)
@@ -85,8 +104,7 @@ class Disk:
         return {f"disk:{self.name}": (
             f"{self.stats.requests} reqs, "
             f"{self.stats.transient_errors} transient errors, "
-            f"{'busy' if self.busy.busy else 'idle'}, "
-            f"{len(self.arm.queue)} queued on arm")}
+            f"arm busy until {self._arm_free_ps} ps")}
 
     def attach_faults(self, injector) -> None:
         """Subject this spindle to ``injector``'s fault plan."""
@@ -97,107 +115,74 @@ class Disk:
         seeked, or a file contiguous with prior activity)."""
         self._head_position = offset
 
-    def _access(self, offset: int, nbytes: int, write: bool, started):
-        """Shared read/write mechanics with bounded transient-error retries.
+    def access_burst(self, at_ps: int, offset: int, nbytes: int,
+                     write: bool):
+        """Schedule one request on the arm, with zero kernel events.
 
-        Without an attached fault plan the control flow (and therefore
-        the timing) is exactly the pre-reliability position-then-stream
-        sequence.  An injected transient error surfaces mid-transfer
+        ``at_ps`` is when the request reaches the arm queue.  Returns
+        ``(data_start_ps, done_ps)``: when the head is first positioned
+        and data begins to flow, and when the last byte moves.
+
+        Each attempt pays positioning (seek + half a rotation) unless
+        the head already sits at ``offset``.  Under a fault plan each
+        attempt makes one ``disk_error`` draw, in per-spindle FIFO
+        order.  An injected transient error surfaces mid-transfer
         (roughly half the data has moved before the bad sector); the
         firmware recalibrates — an exponentially backed-off delay that
         also invalidates the head position, so the retry pays
         positioning again — and replays the request, up to
-        ``max_retries`` times before raising :class:`DiskError`.
-        """
-        with self.arm.request() as grant:
-            yield grant
-            self.busy.enter()
-            start_ps = self.env.now
-            try:
-                self.stats.requests += 1
-                attempt = 0
-                while True:
-                    if offset == self._head_position:
-                        self.stats.sequential_requests += 1
-                    else:
-                        positioning = (self.config.seek_ps
-                                       + self.config.half_rotation_ps)
-                        self.stats.positioning_ps += positioning
-                        yield self.env.timeout(positioning)
-                    if started is not None and not started.triggered:
-                        started.succeed()
-                    transfer = transfer_ps(nbytes,
-                                           self.config.bandwidth_bytes_per_s)
-                    faulted = (self._injector is not None
-                               and self._injector.plan.disk.enabled
-                               and self._injector.disk_error(self.name, write))
-                    if not faulted:
-                        self.stats.transfer_ps_total += transfer
-                        if write:
-                            self.stats.bytes_written += nbytes
-                        else:
-                            self.stats.bytes_read += nbytes
-                        yield self.env.timeout(transfer)
-                        self._head_position = offset + nbytes
-                        trace = self.env.trace
-                        if trace is not None:
-                            trace.span(
-                                self.name,
-                                "disk.write" if write else "disk.read",
-                                start_ps, self.env.now - start_ps,
-                                offset=offset, bytes=nbytes,
-                                retries=attempt)
-                        return
-                    self.stats.transient_errors += 1
-                    yield self.env.timeout(transfer // 2)
-                    self._head_position = -1
-                    faults = self._injector.plan.disk
-                    if attempt >= faults.max_retries:
-                        raise DiskError(
-                            f"{self.name}: {'write' if write else 'read'} of "
-                            f"{nbytes} B at {offset} failed after "
-                            f"{faults.max_retries} retries")
-                    self.stats.retries += 1
-                    yield self.env.timeout(
-                        faults.retry_backoff_ps * (2 ** attempt))
-                    attempt += 1
-            finally:
-                self.busy.exit()
-
-    def access_burst(self, at_ps: int, offset: int, nbytes: int,
-                     write: bool):
-        """Analytic mirror of :meth:`_access` for the fault-free burst
-        path: same arm FIFO, positioning rule, stats, and busy signal,
-        with zero kernel events.
-
-        ``at_ps`` is when the request reaches the arm queue; callers
-        must issue requests in nondecreasing ``at_ps`` order (the burst
-        engine guarantees this — every issuer runs at real simulated
-        time), which makes the scalar free-at state exactly the FIFO
-        ``arm`` Resource.  Returns ``(data_start_ps, done_ps)``: when
-        the head is positioned and data begins to flow, and when the
-        last byte moves.  Never used under a fault plan — transient
-        errors need the event-driven retry loop.
+        ``max_retries`` times before raising :class:`DiskError`.  The
+        whole schedule is known when the request is issued, so the
+        error raises then.
         """
         start = at_ps if at_ps > self._arm_free_ps else self._arm_free_ps
-        self.stats.requests += 1
-        if offset == self._head_position:
-            self.stats.sequential_requests += 1
-            data_start = start
-        else:
-            positioning = self.config.seek_ps + self.config.half_rotation_ps
-            self.stats.positioning_ps += positioning
-            data_start = start + positioning
+        stats = self.stats
+        stats.requests += 1
         transfer = transfer_ps(nbytes, self.config.bandwidth_bytes_per_s)
-        self.stats.transfer_ps_total += transfer
+        injector = self._injector
+        faults = (injector.plan.disk if injector is not None
+                  and injector.plan.disk.enabled else None)
+        t = start
+        data_start = None
+        attempt = 0
+        while True:
+            if offset == self._head_position:
+                stats.sequential_requests += 1
+            else:
+                positioning = self.config.seek_ps + self.config.half_rotation_ps
+                stats.positioning_ps += positioning
+                t += positioning
+            if data_start is None:
+                data_start = t
+            if faults is None or not injector.disk_error(self.name, write):
+                break
+            stats.transient_errors += 1
+            t += transfer // 2
+            self._head_position = -1
+            if attempt >= faults.max_retries:
+                self.busy.credit(t - start)
+                self._arm_free_ps = t
+                raise DiskError(
+                    f"{self.name}: {'write' if write else 'read'} of "
+                    f"{nbytes} B at {offset} failed after "
+                    f"{faults.max_retries} retries")
+            stats.retries += 1
+            t += faults.retry_backoff_ps * (2 ** attempt)
+            attempt += 1
+        stats.transfer_ps_total += transfer
         if write:
-            self.stats.bytes_written += nbytes
+            stats.bytes_written += nbytes
         else:
-            self.stats.bytes_read += nbytes
-        done = data_start + transfer
+            stats.bytes_read += nbytes
+        done = t + transfer
         self._head_position = offset + nbytes
         self.busy.credit(done - start)
         self._arm_free_ps = done
+        trace = self.env.trace
+        if trace is not None:
+            trace.span(self.name, "disk.write" if write else "disk.read",
+                       start, done - start, offset=offset, bytes=nbytes,
+                       retries=attempt)
         return data_start, done
 
     def read(self, offset: int, nbytes: int, started=None):
@@ -210,14 +195,18 @@ class Disk:
         """
         if nbytes <= 0:
             raise ValueError(f"read size must be positive, got {nbytes}")
-        yield from self._access(offset, nbytes, write=False, started=started)
+        started_ps, done_ps = self.access_burst(self.env.now, offset, nbytes,
+                                                write=False)
+        yield from replay(self.env, started_ps, done_ps, started)
 
     def write(self, offset: int, nbytes: int, started=None):
         """Write ``nbytes`` at ``offset``; same mechanics as read (the
         paper's disk model is symmetric: position, then stream)."""
         if nbytes <= 0:
             raise ValueError(f"write size must be positive, got {nbytes}")
-        yield from self._access(offset, nbytes, write=True, started=started)
+        started_ps, done_ps = self.access_burst(self.env.now, offset, nbytes,
+                                                write=True)
+        yield from replay(self.env, started_ps, done_ps, started)
 
     def __repr__(self) -> str:
         return f"<Disk {self.name}: {self.stats.bytes_read} B read>"
@@ -272,25 +261,13 @@ class DiskArray:
 
         ``started`` fires when the first spindle begins transferring.
         """
-        if nbytes <= 0:
-            raise ValueError(f"read size must be positive, got {nbytes}")
-        share = -(-nbytes // len(self.disks))
-        events = []
-        remaining = nbytes
-        for index, disk in enumerate(self.disks):
-            chunk = min(share, remaining)
-            if chunk <= 0:
-                break
-            events.append(self.env.process(
-                disk.read(offset // len(self.disks), chunk,
-                          started=started if index == 0 else None),
-                name=f"{disk.name}-read"))
-            remaining -= chunk
-        yield self.env.all_of(events)
+        started_ps, done_ps = self.read_burst(self.env.now, offset, nbytes)
+        yield from replay(self.env, started_ps, done_ps, started)
 
     def _access_burst(self, at_ps: int, offset: int, nbytes: int,
                       write: bool):
-        """Shared striped-access math for the burst path."""
+        """Split one logical request evenly across the spindles, which
+        transfer in parallel."""
         share = -(-nbytes // len(self.disks))
         remaining = nbytes
         started = done = None
@@ -308,7 +285,7 @@ class DiskArray:
         return started, done
 
     def read_burst(self, at_ps: int, offset: int, nbytes: int):
-        """Analytic striped read (see :meth:`Disk.access_burst`).
+        """Striped read scheduled at ``at_ps`` (see :meth:`Disk.access_burst`).
 
         Returns ``(started_ps, done_ps)``: when the first spindle's
         data begins to flow, and when the last spindle finishes.
@@ -318,28 +295,16 @@ class DiskArray:
         return self._access_burst(at_ps, offset, nbytes, write=False)
 
     def write_burst(self, at_ps: int, offset: int, nbytes: int):
-        """Analytic striped write; returns ``(started_ps, done_ps)``."""
+        """Striped write scheduled at ``at_ps``; returns
+        ``(started_ps, done_ps)``."""
         if nbytes <= 0:
             raise ValueError(f"write size must be positive, got {nbytes}")
         return self._access_burst(at_ps, offset, nbytes, write=True)
 
     def write(self, offset: int, nbytes: int, started=None):
         """Striped write; completes when every spindle's share is done."""
-        if nbytes <= 0:
-            raise ValueError(f"write size must be positive, got {nbytes}")
-        share = -(-nbytes // len(self.disks))
-        events = []
-        remaining = nbytes
-        for index, disk in enumerate(self.disks):
-            chunk = min(share, remaining)
-            if chunk <= 0:
-                break
-            events.append(self.env.process(
-                disk.write(offset // len(self.disks), chunk,
-                           started=started if index == 0 else None),
-                name=f"{disk.name}-write"))
-            remaining -= chunk
-        yield self.env.all_of(events)
+        started_ps, done_ps = self.write_burst(self.env.now, offset, nbytes)
+        yield from replay(self.env, started_ps, done_ps, started)
 
     @property
     def bytes_written(self) -> int:

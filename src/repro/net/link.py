@@ -112,9 +112,9 @@ class Link:
                                   init=config.credits,
                                   name=f"{name}.credits")
         self._wire = Resource(env, capacity=1, name=f"{name}.wire")
-        #: When the wire finishes its last analytically-reserved bulk
-        #: hold — the burst path's stand-in for queueing on ``_wire``
-        #: (see System._reserve_wires and repro.sim.burst).
+        #: When the wire finishes its last bulk hold: block-path
+        #: transfers queue on this scalar, not on ``_wire`` (see
+        #: System._reserve_wires).
         self.bulk_free_ps = 0
         self.busy = BusyTracker(env)
         #: Credits currently consumed by in-flight packets; every code
@@ -337,10 +337,6 @@ class Link:
             return 0
         packets = -(-payload_bytes // mtu)
         return self.serialization_ps(payload_bytes + packets * header_bytes)
-
-    def acquire(self) -> Resource:
-        """The wire resource, for bulk transfers that hold the link."""
-        return self._wire
 
     def utilization(self) -> float:
         """Measured wire busy fraction (packet-path traffic only)."""

@@ -20,10 +20,10 @@ configuration.
 Correctness guards:
 
 * the pool is keyed by start method **and** the simulation-mode
-  environment (``REPRO_SIM_PERBLOCK`` / ``REPRO_SIM_FLUID``): spawned
-  workers copy the parent environment at creation, so flipping a sim
-  path after the pool exists must retire the old workers — reusing
-  them would silently simulate on the wrong path;
+  environment (``REPRO_SIM_FLUID``): spawned workers copy the parent
+  environment at creation, so flipping the mode after the pool exists
+  must retire the old workers — reusing them would silently simulate
+  in the wrong mode;
 * determinism is untouched: workers receive frozen specs and return
   the cache codec's JSON dicts, exactly as the per-call pools did, and
   the spawn start method still guarantees no inherited parent state.
@@ -41,7 +41,7 @@ from typing import Optional, Tuple
 START_METHOD_ENV = "REPRO_RUNNER_START_METHOD"
 
 #: Simulation-mode variables a worker bakes in at spawn time.
-_SIM_ENV_VARS = ("REPRO_SIM_PERBLOCK", "REPRO_SIM_FLUID")
+_SIM_ENV_VARS = ("REPRO_SIM_FLUID",)
 
 
 def _resolve_start_method(start_method: Optional[str]) -> str:

@@ -1,27 +1,23 @@
-"""Burst-level event batching: mode flags for the block-path fast path.
+"""Burst-level event batching: the block path's one transport, and
+its opt-in fluid mode.
 
 The memory hierarchy walks a whole scan in one Python call instead of
-one per line, bit-identical to the per-line walk.  This module carries
-the same contract one layer up, into the transport and dispatch
-layers: the *burst* fast path replaces the per-block event cascade
-(arm Resource round-trips, SCSI/TCA timeouts, wire Resource holds,
-host-CPU Resource grants) with analytic free-at state plus a single
-timeout per burst, computed from exactly the same component parameters
-(see DESIGN.md section 2 and docs/scaling.md).
+one per line.  The *burst* engine carries the same idea one layer up,
+into the transport and dispatch layers: a block's trip through the
+storage node (TCA decode, SCSI arbitration, each spindle's arm queue,
+positioning, transfer and transient-error retries), the bulk wires and
+the switch CPU pool is priced from analytic free-at state, with one
+timeout per pipeline stage instead of a cascade of Resource grants and
+timeouts (see DESIGN.md section 2 and docs/scaling.md).
 
-Two guarantees, enforced by ``tests/sim/test_golden_burst.py``:
+It is the only block-path transport, with or without a fault plan or a
+trace collector attached, so a traced or faulted run executes exactly
+the code an untraced one does.  The per-block event cascade it replaced
+survives only as frozen outputs: ``tests/sim/golden/transport.json``
+pins every result, metrics counter and trace event to what the cascade
+produced, while the burst engine schedules fewer kernel events.
 
-* **bit-identity** — with the burst path on (the default), every
-  simulated timestamp, CPU/cache/disk/traffic counter, and
-  :class:`~repro.metrics.CaseResult` is identical to the per-block
-  reference path (``REPRO_SIM_PERBLOCK=1``); only ``sim.event_count``
-  differs, because fewer kernel events *is* the optimisation;
-* **automatic fallback** — fault injection and structured tracing need
-  the real event cascade (retries, per-span timing), so
-  :meth:`repro.cluster.System.burst_ok` disables the fast path whenever
-  an injector or trace collector is attached.
-
-``REPRO_SIM_FLUID=1`` additionally enables the opt-in *fluid* mode for
+``REPRO_SIM_FLUID=1`` enables the opt-in *fluid* mode for
 the closed-loop stream benchmarks: steady-state stream phases reuse
 sampled cache-stall values instead of re-driving the cache hierarchy
 for every block (transitions — the first/last blocks of a stream — and
@@ -34,21 +30,10 @@ from __future__ import annotations
 
 import os
 
-__all__ = [
-    "FLUID_ENV", "PERBLOCK_ENV",
-    "fluid_requested", "perblock_requested", "sim_mode_tag",
-]
-
-#: Debug flag restoring the per-block reference path.
-PERBLOCK_ENV = "REPRO_SIM_PERBLOCK"
+__all__ = ["FLUID_ENV", "fluid_requested", "sim_mode_tag"]
 
 #: Opt-in approximate fluid mode for steady-state stream phases.
 FLUID_ENV = "REPRO_SIM_FLUID"
-
-
-def perblock_requested() -> bool:
-    """True when the per-block reference path is forced on."""
-    return bool(os.environ.get(PERBLOCK_ENV))
 
 
 def fluid_requested() -> bool:
@@ -59,8 +44,7 @@ def fluid_requested() -> bool:
 def sim_mode_tag() -> str:
     """Accuracy-affecting mode flags, for cache-key fingerprints.
 
-    The burst/per-block choice is bit-identical so it never appears
-    here; fluid mode changes results, so cached fluid runs must not
-    collide with exact ones.
+    Fluid mode changes results, so cached fluid runs must not collide
+    with exact ones.
     """
     return "fluid" if fluid_requested() else "exact"

@@ -38,10 +38,10 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster.fabric import TOPOLOGY_KINDS
+from ..cpu.accounting import charge
 from ..metrics.report import Report
 from ..metrics.sampling import QuantileEstimator
 from ..net.packet import HEADER_BYTES
-from ..sim.resources import Resource
 from ..sim.units import transfer_ps
 from .admission import ADMISSION_POLICIES, CLOSED, AdmissionQueue
 from .arrivals import ARRIVAL_KINDS, Arrival, generate_schedule
@@ -336,15 +336,13 @@ def _simulate(spec: ServiceSpec, trace=None, prebuilt=None) -> ServiceResult:
 
     queue = AdmissionQueue(env, depth=spec.depth, policy=spec.policy)
     host.hca.attach_admission(queue)
-    host_cpu = Resource(env, capacity=1, name="service-host-cpu")
 
     blocks = app.blocks
     per_stream: Dict[int, QuantileEstimator] = {}
     queue_delay_est = QuantileEstimator()
     service_time_est = QuantileEstimator()
-    # Burst-path stand-in for the ``host_cpu`` Resource: workers reach
-    # it in chronological order, so a scalar free-at grants in the same
-    # FIFO order (see repro.sim.burst).
+    # ``cpu_free_ps`` is the contended host CPU: workers reach it in
+    # chronological order, so a scalar free-at grants FIFO.
     state = {"completed": 0, "ok": 0, "last_completion_ps": 0,
              "cursor": 0, "cpu_free_ps": 0}
     slo_ps = (None if spec.slo_ms is None
@@ -379,105 +377,67 @@ def _simulate(spec: ServiceSpec, trace=None, prebuilt=None) -> ServiceResult:
             dispatch_ps = env.now
             emit("service.dispatch", arr)
             work = blocks[arr.key_rank % len(blocks)]
-            burst = system.burst_ok()
+            cpu = host.cpu
 
             # Post the storage read (queue-pair doorbell on the host).
             #
-            # Burst fast path: the request's post -> storage -> handler
-            # dispatch prefix is a chain of FIFO stages whose
-            # completion order equals dispatch order, so all of its
-            # reservations can be made *now* at future ready times and
-            # still grant exactly as the staged walk (and the per-block
-            # Resources) would — one timeout replaces one per stage.
+            # The request's post -> storage -> handler dispatch prefix
+            # is a chain of FIFO stages whose completion order equals
+            # dispatch order, so all of its reservations can be made
+            # *now* at future ready times and still grant exactly as a
+            # staged walk would — one timeout replaces one per stage.
             # Past the multi-CPU handler pool a later request can
             # overtake an earlier one, so from there the walk stays at
             # real event times.
-            post_ps = hca_cfg.recv_poll_ps + hca_cfg.send_overhead_ps
-            if burst:
-                start = max(env.now, state["cpu_free_ps"])
-                acct = host.cpu.accounting
-                acct.add_busy(hca_cfg.recv_poll_ps)
-                acct.add_busy(hca_cfg.send_overhead_ps)
-                post_done = start + post_ps
-                state["cpu_free_ps"] = post_done
-            else:
-                with host_cpu.request() as grant:
-                    yield grant
-                    yield from host.cpu.busy(hca_cfg.recv_poll_ps)
-                    yield from host.cpu.busy(hca_cfg.send_overhead_ps)
+            post_done = charge(cpu, max(env.now, state["cpu_free_ps"]),
+                               hca_cfg.recv_poll_ps)
+            post_done = charge(cpu, post_done, hca_cfg.send_overhead_ps)
+            state["cpu_free_ps"] = post_done
 
             # Storage: TCA + SCSI + striped spindles, log-structured
             # (sequential) layout so positioning amortizes like the
             # paper's streams.
             offset = state["cursor"]
             state["cursor"] += work.nbytes
-            if burst:
-                _, read_done = storage.serve_read_burst(
-                    post_done, offset, work.nbytes)
-            else:
-                yield from storage.serve_read(offset, work.nbytes)
+            _, read_done = storage.serve_read_burst(
+                post_done, offset, work.nbytes)
 
             if spec.case == "active":
                 # Handler on a free switch CPU (contended pool), then
                 # only the filtered bytes cross the host downlink.
-                if burst:
-                    peek = system.switch_cpu_peek_at(read_done)
-                    stall = _stall(work.handler_stall_fn, peek.hierarchy)
-                    handler_done = system.process_on_switch_at(
-                        read_done, work.handler_cycles, stall)
-                    if handler_done > env.now:
-                        yield env.timeout(handler_done - env.now)
-                    if work.out_bytes > 0:
-                        end = system.switch_to_host_bulk_at(
-                            host, work.out_bytes, env.now)
-                        if end > env.now:
-                            yield env.timeout(end - env.now)
-                else:
-                    peek = system.switch_cpu_peek()
-                    stall = _stall(work.handler_stall_fn, peek.hierarchy)
-                    yield from system.process_on_switch(
-                        work.handler_cycles, stall)
-                    if work.out_bytes > 0:
-                        yield from system.switch_to_host_bulk(
-                            host, work.out_bytes)
+                peek = system.switch_cpu_peek_at(read_done)
+                stall = _stall(work.handler_stall_fn, peek.hierarchy)
+                handler_done = system.process_on_switch_at(
+                    read_done, work.handler_cycles, stall)
+                if handler_done > env.now:
+                    yield env.timeout(handler_done - env.now)
+                if work.out_bytes > 0:
+                    end = system.switch_to_host_bulk_at(
+                        host, work.out_bytes, env.now)
+                    if end > env.now:
+                        yield env.timeout(end - env.now)
                 host_cycles = work.active_host_cycles
                 host_stall_fn = work.active_host_stall_fn
             else:
                 # The whole block crosses the (shared) host downlink —
-                # single-wire FIFO, so the burst walk reserves it at
-                # the analytic arrival time and sleeps once.
-                if burst:
-                    end = system.switch_to_host_bulk_at(
-                        host, work.nbytes, read_done)
-                    if end > env.now:
-                        yield env.timeout(end - env.now)
-                else:
-                    yield from system.switch_to_host_bulk(host, work.nbytes)
+                # single-wire FIFO, so the walk reserves it at the
+                # analytic arrival time and sleeps once.
+                end = system.switch_to_host_bulk_at(
+                    host, work.nbytes, read_done)
+                if end > env.now:
+                    yield env.timeout(end - env.now)
                 host_cycles = work.host_cycles
                 host_stall_fn = work.host_stall_fn
 
             # Host portion + response post, on the contended host CPU.
-            if burst:
-                start = max(env.now, state["cpu_free_ps"])
-                acct = host.cpu.accounting
-                acct.add_busy(hca_cfg.recv_poll_ps)
-                stall = _stall(host_stall_fn, host.hierarchy)
-                work_ps = host.cpu.clock.cycles(host_cycles)
-                acct.add_busy(work_ps)
-                acct.add_stall(stall)
-                acct.add_busy(hca_cfg.send_overhead_ps)
-                state["cpu_free_ps"] = (start + hca_cfg.recv_poll_ps
-                                        + work_ps + stall
-                                        + hca_cfg.send_overhead_ps)
-                if state["cpu_free_ps"] > env.now:
-                    yield env.timeout(state["cpu_free_ps"] - env.now)
-            else:
-                with host_cpu.request() as grant:
-                    yield grant
-                    yield from host.cpu.busy(hca_cfg.recv_poll_ps)
-                    stall = _stall(host_stall_fn, host.hierarchy)
-                    yield from host.cpu.work(host_cycles, stall)
-                    yield from host.cpu.busy(hca_cfg.send_overhead_ps)
+            t = charge(cpu, max(env.now, state["cpu_free_ps"]),
+                       hca_cfg.recv_poll_ps)
+            t = charge(cpu, t, cpu.clock.cycles(host_cycles),
+                       _stall(host_stall_fn, host.hierarchy))
+            t = charge(cpu, t, hca_cfg.send_overhead_ps)
+            state["cpu_free_ps"] = t
+            if t > env.now:
+                yield env.timeout(t - env.now)
 
             done_ps = env.now
             emit("service.complete", arr)

@@ -45,19 +45,20 @@ def test_config_validation():
 def test_normal_system_uses_base_switch():
     system = System(ClusterConfig(active=False))
     assert type(system.switch) is BaseSwitch
-    assert system.switch_cpu_pool is None
+    with pytest.raises(RuntimeError):
+        system.switch_cpu_peek()
 
 
 def test_active_system_uses_active_switch():
     system = System(ClusterConfig(active=True))
     assert isinstance(system.switch, ActiveSwitch)
-    assert len(system.switch_cpu_pool.items) == 1
+    assert system.switch_cpu_peek() is system.switch.cpus[0]
 
 
 def test_active_system_multiple_cpus():
     system = System(ClusterConfig(num_switch_cpus=4).with_case(True, False))
     assert len(system.switch.cpus) == 4
-    assert len(system.switch_cpu_pool.items) == 4
+    assert system.switch_cpu_peek() is system.switch.cpus[0]
 
 
 def test_system_builds_requested_nodes():
@@ -139,7 +140,7 @@ def test_process_on_switch_charges_busy_and_returns_cpu():
     system.env.run()
     cpu = system.switch.cpus[0]
     assert cpu.accounting.busy_ps == 1000 * 2000  # 1000 cycles at 2 ns
-    assert len(system.switch_cpu_pool.items) == 1  # returned to pool
+    assert system.switch_cpu_peek() is cpu  # returned to pool, free
 
 
 def test_process_on_switch_waits_for_arrival_as_stall():

@@ -48,14 +48,13 @@ def test_shared_pool_is_reused_and_grows():
 def test_shared_pool_recycles_on_sim_env_change(monkeypatch):
     pool = shared_pool(2)
     assert pool.sim_signature == _sim_signature()
-    # Flip to whatever the ambient environment is *not* (the CI matrix
-    # already runs this file with REPRO_SIM_PERBLOCK=1).
-    flipped = "0" if os.environ.get("REPRO_SIM_PERBLOCK") == "1" else "1"
-    monkeypatch.setenv("REPRO_SIM_PERBLOCK", flipped)
+    # Flip to whatever the ambient environment is *not*.
+    flipped = "0" if os.environ.get("REPRO_SIM_FLUID") == "1" else "1"
+    monkeypatch.setenv("REPRO_SIM_FLUID", flipped)
     recycled = shared_pool(2)
     assert recycled is not pool
     assert pool.closed                     # stale workers must retire
-    monkeypatch.delenv("REPRO_SIM_PERBLOCK")
+    monkeypatch.delenv("REPRO_SIM_FLUID")
     assert shared_pool(2) is not recycled
 
 

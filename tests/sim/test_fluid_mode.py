@@ -28,7 +28,6 @@ MIN_ACCESS_REDUCTION = 2.0
 
 
 def _run(app_name, scale, case, fluid, monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_PERBLOCK", raising=False)
     if fluid:
         monkeypatch.setenv("REPRO_SIM_FLUID", "1")
     else:

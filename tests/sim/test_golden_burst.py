@@ -1,142 +1,88 @@
-"""Golden-stats equivalence: burst vs per-block transport/dispatch path.
+"""Golden transport fixtures: the burst engine against the frozen
+per-block reference.
 
-The burst engine (:mod:`repro.sim.burst`) claims bit-identity with the
-per-block reference path (``REPRO_SIM_PERBLOCK=1``): one event per
-stream burst for disk service, link occupancy, and handler dispatch,
-with the interior pipeline computed analytically.  These tests prove it
-the strong way: every paper application, all four configurations, run
-once per path, comparing the full :class:`CaseResult` and the full
-metrics snapshot for exact equality.  ``sim.event_count`` is the one
-excluded key — shrinking it is the feature — and is separately
-asserted to shrink.  A fault-free chaos-preset cell checks the same
-through the recovery-capable configuration; a faulted cell checks the
-automatic fallback to the reference path.
+The burst engine (:mod:`repro.sim.burst`) replaced an event cascade
+that moved every block through arm Resources, SCSI/TCA timeouts, wire
+holds and CPU-pool grants.  ``golden/transport.json`` froze that
+cascade's outputs — generated once by ``golden/generate.py`` from the
+last revision that had it — for the paper grid, fault-injected grids,
+open-loop serving, the write path, the two-level experiment and traced
+runs (``golden/scenarios.py`` lists them).  Every scenario re-runs here
+and must reproduce the frozen result JSON, the metrics digest and, for
+traced scenarios, the trace digest exactly, while scheduling fewer
+kernel events than the reference did: fewer events *is* the burst
+engine.
 """
 
-from dataclasses import replace
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.cluster.config import case_configs
-from repro.cluster.presets import chaos_2003
-from repro.faults.plan import FaultPlan
-from repro.runner.harness import CASE_LABELS, Cell, cell_config
-from repro.runner.spec import paper_grid
+from golden.scenarios import grid, scenarios
 
-#: Same scale factor as the memory-path golden grid: enough work to
-#: exercise prefetch overlap, pool contention, and multi-node transfers
-#: while keeping the double grid fast.
-SCALE_FACTOR = 0.05
-
-_GRID = {spec.label: spec for spec in paper_grid(scale=SCALE_FACTOR)}
+FIXTURE = json.loads(
+    (Path(__file__).parent / "golden" / "transport.json").read_text())
+GROUPS = scenarios()
+LABELS = sorted(grid())
 
 
-def _run_case(app, config, perblock, monkeypatch):
-    """One simulation; returns (CaseResult, metrics snapshot)."""
-    if perblock:
-        monkeypatch.setenv("REPRO_SIM_PERBLOCK", "1")
-    else:
-        monkeypatch.delenv("REPRO_SIM_PERBLOCK", raising=False)
-    monkeypatch.delenv("REPRO_SIM_FLUID", raising=False)
-    sink = {}
-    result = app.run_case(config, metrics_sink=sink)
-    return result, sink
+def _check(group):
+    for name, run in GROUPS[group]():
+        expected = FIXTURE["scenarios"][name]
+        actual = json.loads(json.dumps(run()))
+        assert actual["result"] == expected["result"], \
+            f"{name}: result diverges"
+        for key in ("metrics_sha256", "trace_sha256", "trace_summary"):
+            assert actual.get(key) == expected.get(key), \
+                f"{name}: {key} diverges"
+        if "event_count" in expected:
+            assert actual["event_count"] < expected["event_count"], (
+                f"{name}: scheduled no fewer events than the per-block "
+                f"reference ({actual['event_count']} vs "
+                f"{expected['event_count']})")
 
 
-def _assert_identical(label, burst, perblock, expect_fewer_events=True):
-    result_b, sink_b = burst
-    result_p, sink_p = perblock
-    diff = {k: (sink_p.get(k), sink_b.get(k))
-            for k in set(sink_p) | set(sink_b)
-            if k != "sim.event_count" and sink_p.get(k) != sink_b.get(k)}
-    assert diff == {}, f"{label}: counters diverge: {diff}"
-    assert result_b == result_p, f"{label}: CaseResult diverges"
-    if expect_fewer_events:
-        assert sink_b["sim.event_count"] < sink_p["sim.event_count"], (
-            f"{label}: burst path scheduled no fewer events "
-            f"({sink_b['sim.event_count']:.0f} vs "
-            f"{sink_p['sim.event_count']:.0f})")
+def test_fixture_is_the_per_block_reference():
+    assert FIXTURE["source"]["REPRO_SIM_PERBLOCK"] == "1"
 
 
-@pytest.mark.parametrize("label", sorted(_GRID))
-def test_burst_path_is_bit_identical(label, monkeypatch):
-    spec = _GRID[label]
-    app = spec.build()
-    for case in CASE_LABELS:
-        config = cell_config(Cell(spec=spec, case=case, seed=None), app)
-        burst = _run_case(app, config, False, monkeypatch)
-        perblock = _run_case(app, config, True, monkeypatch)
-        _assert_identical(f"{label}/{case}", burst, perblock)
+@pytest.mark.parametrize("label", LABELS)
+def test_burst_path_is_bit_identical(label):
+    _check(f"grid:{label}")
 
 
-def test_chaos_preset_fault_free_is_bit_identical(monkeypatch):
-    """Same equivalence through the chaos preset (faults zeroed)."""
-    from repro.apps.grep import GrepApp
-
-    app = GrepApp(scale=SCALE_FACTOR)
-    base = app.cluster_config()
-    config = replace(
-        chaos_2003(seed=0, faults=FaultPlan()),
-        num_hosts=base.num_hosts,
-        num_storage=base.num_storage,
-        num_switch_cpus=base.num_switch_cpus,
-        database_scaled_caches=base.database_scaled_caches,
-        cache_scale_divisor=base.cache_scale_divisor,
-    )
-    for label, case_config in case_configs(config):
-        burst = _run_case(app, case_config, False, monkeypatch)
-        perblock = _run_case(app, case_config, True, monkeypatch)
-        _assert_identical(f"chaos/{label}", burst, perblock)
+@pytest.mark.parametrize("label", LABELS)
+def test_faulted_grid_is_bit_identical(label):
+    """``chaos_2003`` at seed 0, then a transient-error storm."""
+    _check(f"chaos:{label}")
+    _check(f"storm:{label}")
 
 
-def test_faulted_run_falls_back_to_per_block_path(monkeypatch):
-    """With an injector attached the burst gate opens: both flag
-    settings run the event-driven reference path (faults need the real
-    retry loops), so even the event counts agree."""
-    from repro.apps.grep import GrepApp
-
-    app = GrepApp(scale=SCALE_FACTOR)
-    base = app.cluster_config()
-    config = replace(
-        chaos_2003(seed=0),
-        num_hosts=base.num_hosts,
-        num_storage=base.num_storage,
-        num_switch_cpus=base.num_switch_cpus,
-        database_scaled_caches=base.database_scaled_caches,
-        cache_scale_divisor=base.cache_scale_divisor,
-    ).with_case(active=True, prefetch=True)
-    burst = _run_case(app, config, False, monkeypatch)
-    perblock = _run_case(app, config, True, monkeypatch)
-    _assert_identical("chaos-faulted", burst, perblock,
-                      expect_fewer_events=False)
-    assert (burst[1]["sim.event_count"]
-            == perblock[1]["sim.event_count"])
+def test_chaos_preset_fault_free_is_bit_identical():
+    _check("chaos-fault-free")
 
 
-def test_service_layer_is_bit_identical(monkeypatch):
-    """Open-loop serving through the burst worker fast path."""
-    from repro.traffic.service import ServiceSpec, _simulate
-
-    for spec in (
-        ServiceSpec(app="grep", case="normal", topology="single"),
-        ServiceSpec(app="grep", case="active", topology="fat_tree",
-                    hosts=16),
-    ):
-        monkeypatch.delenv("REPRO_SIM_PERBLOCK", raising=False)
-        monkeypatch.delenv("REPRO_SIM_FLUID", raising=False)
-        result_b = _simulate(spec)
-        monkeypatch.setenv("REPRO_SIM_PERBLOCK", "1")
-        result_p = _simulate(spec)
-        assert result_b == result_p, f"{spec.label}: results diverge"
+def test_repeated_disk_errors_are_bit_identical():
+    """Scripted errors make single requests fail two and three times."""
+    _check("repeated-errors")
 
 
-def test_perblock_flag_controls_path(monkeypatch):
-    """The debug flag actually selects the per-block reference path."""
-    from repro.apps.grep import GrepApp
-    from repro.cluster.system import System
+def test_service_layer_is_bit_identical():
+    """Open-loop serving: fault-free, ``chaos_2003``, error storm."""
+    _check("serve")
 
-    app = GrepApp(scale=SCALE_FACTOR)
-    monkeypatch.delenv("REPRO_SIM_PERBLOCK", raising=False)
-    assert System(app.cluster_config()).burst_ok()
-    monkeypatch.setenv("REPRO_SIM_PERBLOCK", "1")
-    assert not System(app.cluster_config()).burst_ok()
+
+def test_write_stream_is_bit_identical():
+    _check("write-stream")
+
+
+def test_two_level_rows_are_unchanged():
+    """Active-storage reads and event-waiting handler dispatch."""
+    _check("two-level")
+
+
+def test_traced_runs_are_bit_identical():
+    """Traces record the burst engine's own execution, event for event
+    what the cascade traced (up to emission order)."""
+    _check("traced")
