@@ -2,11 +2,10 @@
 
 Builds the paper's switch-tree reduction twice — once on a perfect
 fabric, once with every link dropping 10% and corrupting 5% of packets
-plus a scripted handler crash on the root switch — and shows that:
+— and shows that:
 
 * the numeric result matches the fault-free oracle bit for bit (the
-  CRC + NACK/retransmission protocol and the crash containment hide
-  every fault);
+  CRC + NACK/retransmission protocol hides every fault);
 * recovery costs latency, which the reliability report itemizes;
 * the same seed reproduces the same fault schedule exactly.
 
@@ -23,7 +22,7 @@ from repro.apps.reduction import (
     _oracle,
     run_active_reduction,
 )
-from repro.cluster.topology import SwitchTree
+from repro.cluster import TopologySpec, build_fabric
 from repro.sim import Environment, ps_to_us
 
 NUM_HOSTS = 16
@@ -33,13 +32,11 @@ LOSSY = FaultPlan(link=LinkFaults(drop_rate=0.10, bit_error_rate=0.05))
 
 
 def run_point(plan, seed):
-    env = Environment()
     injector = FaultInjector(plan, seed=seed) if plan is not None else None
-    tree = SwitchTree(env, num_hosts=NUM_HOSTS, hosts_per_leaf=8,
-                      switch_ports=16, hca_config=REDUCTION_HCA,
-                      injector=injector)
+    fabric = build_fabric(Environment(), TopologySpec("tree", NUM_HOSTS),
+                          hca_config=REDUCTION_HCA, injector=injector)
     vectors = _make_vectors(NUM_HOSTS)
-    result = run_active_reduction(tree, vectors, REDUCE_TO_ONE)
+    result = run_active_reduction(fabric, vectors, REDUCE_TO_ONE)
     assert result.result_vector == _oracle(vectors), "recovery failed!"
     return result, injector
 

@@ -38,7 +38,7 @@ from ..cluster.config import ClusterConfig
 from ..cluster.iostream import ReadStream
 from ..cluster.system import System
 from ..cpu.accounting import Breakdown
-from ..metrics.results import BenchmarkResult, CaseResult
+from ..metrics.results import CaseResult
 from ..sim.burst import fluid_requested
 from ..sim.resources import Store
 
@@ -273,21 +273,3 @@ def finalize_case(system: System, label: str) -> CaseResult:
         extra=extra,
     )
 
-
-def run_four_cases(app_factory: Callable[[], StreamApp],
-                   name: Optional[str] = None) -> BenchmarkResult:
-    """Deprecated alias of :func:`repro.run`.
-
-    .. deprecated:: 1.1
-       Use ``repro.run(app, ...)`` — it accepts the same factory
-       callables, and registered names/classes additionally get
-       parallel execution and result caching.
-    """
-    import warnings
-    warnings.warn(
-        "run_four_cases() is deprecated; use repro.run(app, ...) — it "
-        "returns the same result object and adds parallel/cached "
-        "execution for registered apps",
-        DeprecationWarning, stacklevel=2)
-    from ..runner.api import run
-    return run(app_factory, name=name)

@@ -151,25 +151,12 @@ class FabricReduceApp:
         extra["fabric_depth"] = float(fabric.depth)
         extra["fabric_switches"] = float(len(fabric.switches))
         if injector is not None:
-            retransmits = dropped = corrupted = 0
-            capped = abandoned = 0
-            for node in fabric.switches:
-                for link in node.switch._tx_links:
-                    if link is None:
-                        continue
-                    retransmits += link.stats.retransmits
-                    dropped += link.stats.packets_dropped
-                    corrupted += link.stats.packets_corrupted
-                    capped += link.stats.capped_backoffs
-                    abandoned += link.stats.packets_abandoned
-            for host in fabric.hosts:
-                tx = host.hca._tx_link
-                if tx is not None:
-                    retransmits += tx.stats.retransmits
-                    dropped += tx.stats.packets_dropped
-                    corrupted += tx.stats.packets_corrupted
-                    capped += tx.stats.capped_backoffs
-                    abandoned += tx.stats.packets_abandoned
+            stats = [link.stats for link in fabric.links.values()]
+            retransmits = sum(s.retransmits for s in stats)
+            dropped = sum(s.packets_dropped for s in stats)
+            corrupted = sum(s.packets_corrupted for s in stats)
+            capped = sum(s.capped_backoffs for s in stats)
+            abandoned = sum(s.packets_abandoned for s in stats)
             extra["link_retransmits"] = float(retransmits)
             extra["link_packets_dropped"] = float(dropped)
             extra["link_packets_corrupted"] = float(corrupted)

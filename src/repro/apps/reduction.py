@@ -11,18 +11,19 @@ associative operation; they differ in where the result goes:
 
 Normal baseline: a minimum-spanning-tree (binomial) software reduction —
 ``ceil(log2 p)`` rounds of (send, poll, add) between hosts, the
-textbook lower bound ``ceil(log2 p)) * (alpha + lambda)``.  Active: each
-host fires its vector at its leaf switch as an *active message*; leaf
-handlers combine 8 vectors and forward one partial up the switch tree;
-the root delivers (or redistributes) the result.  This is fully
-simulated at packet level through the real ActiveSwitch machinery —
-dispatch, data buffers, ATB, send unit — and the vectors are really
-added, so the result is checked numerically against the oracle.
+textbook lower bound ``ceil(log2 p)) * (alpha + lambda)``.  Active: the
+placement engine's ``per_level`` plan (:mod:`repro.cluster.placement`)
+on a ``TopologySpec("tree")`` fabric — each host fires its vector at
+its leaf switch as an *active message*; leaf handlers combine 8 vectors
+and forward one partial up the switch tree; the root delivers (or
+redistributes) the result.  This is fully simulated at packet level
+through the real ActiveSwitch machinery — dispatch, data buffers, ATB,
+send unit — and the vectors are really added, so the result is checked
+numerically against the oracle.
 
 Cost model: vector add at 3 cycles/word on the host (load-load-add-
 store on the single-issue core, some ILP) and 2 cycles/word on the
-switch (one buffer operand streams in at single-cycle access, and the
-add overlaps the copy thanks to the valid bits).  The hosts' messaging
+switch (``placement.SWITCH_ADD_CYCLES_PER_WORD``).  The hosts' messaging
 software (an MPI-style reduction library over the queue-pair interface,
 with polling receives) costs ~10 us per posted send and ~18 us per
 polled receive — this is the alpha that dominates the MST baseline and
@@ -32,11 +33,12 @@ that the paper's switch-side reduction eliminates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
-from ..cluster.topology import SwitchTree
+from ..cluster.fabric import Fabric, TopologySpec, build_fabric
+from ..cluster.placement import (DISTRIBUTED, REDUCE_TO_ALL, REDUCE_TO_ONE,
+                                 plan_placement, run_placed_reduction)
 from ..net.hca import HcaConfig
-from ..net.packet import ActiveHeader
 from ..sim.core import Environment
 from ..sim.units import us
 
@@ -46,21 +48,10 @@ WORDS = VECTOR_BYTES // 4
 
 #: Host-side costs.
 HOST_ADD_CYCLES_PER_WORD = 3
-#: Switch handler costs.
-SWITCH_ADD_CYCLES_PER_WORD = 2
 
 #: The MST implementation's messaging software overheads (per message).
 REDUCTION_HCA = HcaConfig(send_overhead_ps=us(10), recv_poll_ps=us(18),
                           per_packet_ps=us(0.1))
-
-#: Handler IDs.
-H_REDUCE = 1
-H_REDISTRIBUTE = 2
-H_BROADCAST = 3
-
-REDUCE_TO_ONE = "reduce-to-one"
-DISTRIBUTED = "distributed"
-REDUCE_TO_ALL = "reduce-to-all"
 
 
 @dataclass
@@ -97,11 +88,11 @@ def _mst_rounds(num_hosts: int) -> int:
     return rounds
 
 
-def run_normal_reduction(tree: SwitchTree, vectors: List[List[int]],
+def run_normal_reduction(fabric: Fabric, vectors: List[List[int]],
                          mode: str) -> ReductionResult:
     """Binomial reduce (plus scatter/broadcast for the other modes)."""
-    env = tree.env
-    hosts = tree.hosts
+    env = fabric.env
+    hosts = fabric.hosts
     p = len(hosts)
     rounds = _mst_rounds(p)
     local = [list(v) for v in vectors]
@@ -180,148 +171,24 @@ def run_normal_reduction(tree: SwitchTree, vectors: List[List[int]],
 
 
 # ----------------------------------------------------------------------
-# Active: switch-tree reduction via real handlers
+# Active: per-level in-switch aggregation on the placement engine
 # ----------------------------------------------------------------------
-def _install_handlers(tree: SwitchTree, mode: str, done_events: Dict,
-                      vector_bytes: int = VECTOR_BYTES):
-    """Register the reduce handler on every switch in the tree."""
-    env = tree.env
-    words = vector_bytes // 4
-    region_stride = -(-vector_bytes // 512) * 512
-
-    for node in tree.switches:
-        switch = node.switch
-        switch.kernel_state["accumulator"] = [0] * words
-        switch.kernel_state["count"] = 0
-        switch.kernel_state["expected"] = node.fan_in
-        switch.kernel_state["parent"] = (node.parent.name
-                                         if node.parent else None)
-        switch.kernel_state["child_slot"] = (
-            node.parent.children.index(node) if node.parent else 0)
-
-        def reduce_handler(ctx, node=node):
-            switch = node.switch
-            # Stream the vector in and combine (adds overlap the copy).
-            yield from ctx.read(ctx.address, vector_bytes)
-            accumulator = switch.kernel_state["accumulator"]
-            incoming = ctx.arg
-            for w in range(words):
-                accumulator[w] = (accumulator[w] + incoming[w]) & 0xFFFFFFFF
-            yield from ctx.compute(words * SWITCH_ADD_CYCLES_PER_WORD)
-            # Range-exact: a retransmission-delayed sibling may stage a
-            # *lower* slot after this one — deallocate() would free it.
-            yield from ctx.deallocate_range(ctx.address,
-                                            ctx.address + region_stride)
-            switch.kernel_state["count"] += 1
-            if switch.kernel_state["count"] < switch.kernel_state["expected"]:
-                return
-            # Last input: forward the partial (or finish at the root).
-            parent = switch.kernel_state["parent"]
-            result = list(accumulator)
-            if parent is not None:
-                # Each child forwards at a distinct staging address so
-                # the parent's direct-mapped ATB takes all partials.
-                slot = switch.kernel_state["child_slot"]
-                yield from ctx.send(
-                    parent, vector_bytes,
-                    active=ActiveHeader(handler_id=H_REDUCE,
-                                        address=slot * region_stride),
-                    payload=result)
-                return
-            # Root: deliver per the reduction mode.
-            if mode == REDUCE_TO_ONE:
-                yield from ctx.send(tree.hosts[0].name, vector_bytes,
-                                    payload=result)
-            elif mode == DISTRIBUTED:
-                p = len(tree.hosts)
-                slice_words = max(1, words // p)
-                for j, host in enumerate(tree.hosts):
-                    yield from ctx.send(
-                        host.name, max(4, vector_bytes // p),
-                        payload=result[j * slice_words:(j + 1) * slice_words])
-            else:  # reduce-to-all: broadcast down the switch tree
-                yield from _broadcast_down(ctx, node, result)
-            done_events["result"] = result
-
-        def broadcast_handler(ctx, node=node):
-            # Receive the final vector from the parent and fan out.
-            yield from ctx.read(ctx.address, vector_bytes)
-            yield from ctx.deallocate_range(ctx.address,
-                                            ctx.address + region_stride)
-            yield from _broadcast_down(ctx, node, ctx.arg)
-
-        def _broadcast_down(ctx, node, vector):
-            if node.hosts:
-                # Leaf: deliver to every attached compute node.
-                for host in node.hosts:
-                    yield from ctx.send(host.name, vector_bytes,
-                                        payload=list(vector))
-            else:
-                for child in node.children:
-                    yield from ctx.send(
-                        child.name, vector_bytes,
-                        active=ActiveHeader(handler_id=H_BROADCAST,
-                                            address=0x0),
-                        payload=list(vector))
-
-        switch.register_handler(H_REDUCE, reduce_handler)
-        switch.register_handler(H_BROADCAST, broadcast_handler)
-
-
-def run_active_reduction(tree: SwitchTree, vectors: List[List[int]],
+def run_active_reduction(fabric: Fabric, vectors: List[List[int]],
                          mode: str) -> ReductionResult:
     """Switch-tree reduction: fully packet-level."""
-    env = tree.env
-    hosts = tree.hosts
-    p = len(hosts)
-    words = len(vectors[0])
-    vector_bytes = words * 4
-    region_stride = -(-vector_bytes // 512) * 512
-    done: Dict = {}
-    _install_handlers(tree, mode, done, vector_bytes=vector_bytes)
-
-    def sender(i: int):
-        # Each host stages its vector at a distinct switch address
-        # (assigned when the hosts joined the reduction), so concurrent
-        # messages occupy distinct entries of the direct-mapped ATB.
-        host = hosts[i]
-        leaf = tree.leaf_of(host)
-        slot = leaf.hosts.index(host)
-        yield from host.hca.send(
-            leaf.name, vector_bytes,
-            active=ActiveHeader(handler_id=H_REDUCE,
-                                address=slot * region_stride),
-            payload=list(vectors[i]))
-
-    def receiver(i: int):
-        host = hosts[i]
-        if mode == REDUCE_TO_ONE and i != 0:
-            return
-            yield  # pragma: no cover
-        message = yield from host.hca.poll_receive()
-        return message.payload
-
-    procs = [env.process(sender(i), name=f"red-send-{i}") for i in range(p)]
-    expect_result = {REDUCE_TO_ONE: [0], DISTRIBUTED: range(p),
-                     REDUCE_TO_ALL: range(p)}[mode]
-    recv_procs = {i: env.process(receiver(i), name=f"red-recv-{i}")
-                  for i in expect_result}
-    env.run(until=env.all_of(list(recv_procs.values()) + procs))
-    if mode == REDUCE_TO_ONE:
-        result = recv_procs[0].value
-    else:
-        result = done.get("result", [])
-    return ReductionResult(mode=mode, num_hosts=p, active=True,
-                           latency_ps=env.now, result_vector=list(result))
+    done = run_placed_reduction(fabric, plan_placement(fabric, "per_level"),
+                                vectors, mode=mode)
+    return ReductionResult(mode=mode, num_hosts=len(fabric.hosts),
+                           active=True, latency_ps=done["latency_ps"],
+                           result_vector=done["result"])
 
 
 # ----------------------------------------------------------------------
 # The experiment: latency vs node count (Figures 15 and 16)
 # ----------------------------------------------------------------------
-def _build_tree(num_hosts: int) -> SwitchTree:
-    env = Environment()
-    return SwitchTree(env, num_hosts=num_hosts, hosts_per_leaf=8,
-                      switch_ports=16, hca_config=REDUCTION_HCA)
+def _build_tree(num_hosts: int) -> Fabric:
+    return build_fabric(Environment(), TopologySpec("tree", num_hosts),
+                        hca_config=REDUCTION_HCA)
 
 
 def run_reduction_point(num_hosts: int, mode: str, active: bool,
@@ -329,14 +196,14 @@ def run_reduction_point(num_hosts: int, mode: str, active: bool,
                         vector_bytes: int = VECTOR_BYTES) -> ReductionResult:
     """One latency measurement on a fresh fabric."""
     vectors = _make_vectors(num_hosts, seed=seed, vector_bytes=vector_bytes)
-    tree = _build_tree(num_hosts)
+    fabric = _build_tree(num_hosts)
     if active:
-        result = run_active_reduction(tree, vectors, mode)
+        result = run_active_reduction(fabric, vectors, mode)
     else:
-        result = run_normal_reduction(tree, vectors, mode)
-    expected = _oracle(vectors)
-    if mode in (REDUCE_TO_ONE, REDUCE_TO_ALL) and result.result_vector:
-        if list(result.result_vector) != expected:
+        result = run_normal_reduction(fabric, vectors, mode)
+    # The MST reduce-scatter leaves host 0 holding only its own slice.
+    if active or mode != DISTRIBUTED:
+        if list(result.result_vector) != _oracle(vectors):
             raise AssertionError(
                 f"{mode} ({'active' if active else 'normal'}, p={num_hosts}): "
                 "reduction result does not match the oracle")

@@ -23,9 +23,10 @@ Both expose the same :class:`Fabric` interface — ``hosts``, ``levels``,
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..net.hca import HCA, HcaConfig
 from ..net.link import Link
@@ -35,11 +36,45 @@ from ..switch.active import ActiveSwitch
 from ..switch.base import SwitchConfig
 from .config import ClusterConfig
 from .node import ComputeNode
-from .topology import SwitchTree, TopologyError, TreeSwitch
 from .validation import validate_fabric
 
 #: Recognized topology kinds.
 TOPOLOGY_KINDS = ("single", "tree", "fat_tree")
+
+
+class TopologyError(ValueError):
+    """A topology specification cannot be wired consistently."""
+
+
+@dataclass
+class TreeSwitch:
+    """One switch plus its tree bookkeeping."""
+
+    switch: ActiveSwitch
+    level: int
+    parent: Optional["TreeSwitch"] = None
+    children: List["TreeSwitch"] = field(default_factory=list)
+    hosts: List[ComputeNode] = field(default_factory=list)
+    #: Hosts in this switch's subtree (for routing).
+    subtree_hosts: List[str] = field(default_factory=list)
+    #: Fail-stop ground truth: when this switch died (None = alive).
+    failed_at: Optional[int] = None
+    #: When a surviving neighbor first *detected* the death; the gap to
+    #: ``failed_at`` is the fabric's detection latency.
+    detected_down_at: Optional[int] = None
+
+    @property
+    def is_down(self) -> bool:
+        return self.failed_at is not None
+
+    @property
+    def name(self) -> str:
+        return self.switch.name
+
+    @property
+    def fan_in(self) -> int:
+        """Streams this switch combines: hosts (leaf) or children."""
+        return len(self.hosts) if self.hosts else len(self.children)
 
 
 class FabricPartitioned(TopologyError):
@@ -545,30 +580,147 @@ class Fabric:
 
 
 class TreeFabric(Fabric):
-    """Multi-level aggregation tree (wraps :class:`SwitchTree`)."""
+    """A multi-level aggregation tree with hosts on the leaves.
+
+    "We can organize the switches logically in a tree and have each
+    leaf switch combine the vectors from compute nodes connected to it
+    and send the result vector to its parent switch."  Each leaf takes
+    ``hosts_per_leaf`` hosts on ports ``0..``; each internal switch
+    takes ``radix`` children (default ``hosts_per_leaf``, the paper's
+    "half the ports face down" shape); every non-root switch uplinks on
+    its last port, which is also its default route.  Internal switches
+    route every descendant host and switch down the matching child
+    port, so host-to-host messages (the MST baseline) transit the least
+    common ancestor and partials or broadcasts can address switches.
+    Switches are named ``sw-l{level}-{n}`` with ``n`` counting across
+    levels.  Shapes that would double-wire the uplink port raise
+    :class:`TopologyError`.
+    """
 
     def __init__(self, env, spec, cluster_config=None, hca_config=None,
                  injector=None):
         super().__init__(env, spec, cluster_config, hca_config, injector)
-        self.tree = SwitchTree(
-            env, num_hosts=spec.num_hosts,
-            hosts_per_leaf=spec.hosts_per_leaf,
-            switch_ports=spec.switch_ports,
-            cluster_config=self.cluster_config,
-            hca_config=self.hca_config,
-            radix=spec.radix,
-            injector=injector)
-        self.hosts = self.tree.hosts
-        self.levels = self.tree.levels
+        ports, per_leaf = spec.switch_ports, spec.hosts_per_leaf
+        if per_leaf < 1 or per_leaf > ports - 1:
+            raise TopologyError(
+                f"hosts_per_leaf={per_leaf} must be in [1, {ports - 1}] to "
+                f"leave an uplink port on a {ports}-port switch")
+        radix = per_leaf if spec.radix is None else spec.radix
+        if radix < 2 or radix > ports - 1:
+            raise TopologyError(
+                f"radix={radix} must be in [2, {ports - 1}] to leave an "
+                f"uplink port on a {ports}-port switch")
+        self._make_hosts()
+        serial = itertools.count()
+        current: List[TreeSwitch] = []
+        for start in range(0, spec.num_hosts, per_leaf):
+            leaf = self._new_switch(f"sw-l0-{next(serial)}", 0)
+            for port, host in enumerate(self.hosts[start:start + per_leaf]):
+                self._wire_host(leaf, port, host)
+            current.append(leaf)
+        self.levels = [current]
+        while len(current) > 1:
+            level = len(self.levels)
+            parents: List[TreeSwitch] = []
+            for start in range(0, len(current), radix):
+                parent = self._new_switch(f"sw-l{level}-{next(serial)}",
+                                          level)
+                for port, child in enumerate(current[start:start + radix]):
+                    self._wire_child(parent, port, child)
+                parents.append(parent)
+            self.levels.append(parents)
+            current = parents
+        # Downward routes for every descendant host and switch; the
+        # root has no uplink, so anything unknown there is an error.
+        for level in self.levels[1:]:
+            for node in level:
+                for port, child in enumerate(node.children):
+                    node.switch.routing.add_many(child.subtree_hosts, port)
+                    node.switch.routing.add_many(_descendants(child), port)
         self._arm_failstop()
 
+    def _wire_child(self, parent: TreeSwitch, port: int,
+                    child: TreeSwitch) -> None:
+        uplink = child.switch.config.num_ports - 1
+        up = self._link(child.name, parent.name)
+        down = self._link(parent.name, child.name)
+        parent.switch.connect(port, tx_link=down, rx_link=up)
+        child.switch.connect(uplink, tx_link=up, rx_link=down)
+        parent.switch.routing.add(child.name, port)
+        child.switch.routing.add(parent.name, uplink)
+        child.switch.routing.set_default(uplink)
+        child.parent = parent
+        parent.children.append(child)
+        parent.subtree_hosts.extend(child.subtree_hosts)
+
     def validate(self) -> None:
-        try:
-            self.tree.validate()
-        except TopologyError as exc:
-            if self._has_down() and "unreachable" in str(exc):
-                raise FabricPartitioned(str(exc)) from exc
-            raise
+        """Audit host partitioning, fan-in, port accounting and routing.
+
+        Partially filled last leaves are legal; any shape where the
+        wiring and the routing tables disagree raises
+        :class:`TopologyError` up front instead of mis-routing packets
+        mid-simulation — or :class:`FabricPartitioned` when fail-stops
+        left some pair unreachable.
+        """
+        problems: List[str] = []
+        seen = {}
+        for leaf in self.levels[0]:
+            if leaf.children:
+                problems.append(f"{leaf.name}: leaf has switch children")
+            for host in leaf.hosts:
+                if host.name in seen:
+                    problems.append(
+                        f"{host.name} attached to both {seen[host.name]} "
+                        f"and {leaf.name}")
+                seen[host.name] = leaf.name
+                if not leaf.switch.routing.has_route(host.name):
+                    problems.append(
+                        f"{leaf.name}: no explicit route to its own host "
+                        f"{host.name}")
+        if len(seen) != len(self.hosts):
+            problems.append(
+                f"{len(seen)} hosts wired, expected {len(self.hosts)}")
+        for level_index, level in enumerate(self.levels):
+            for node in level:
+                expected_fan = (len(node.hosts) if level_index == 0
+                                else len(node.children))
+                if node.fan_in != expected_fan:
+                    problems.append(
+                        f"{node.name}: fan_in {node.fan_in} != "
+                        f"{expected_fan} attached streams")
+                downlinks = len(node.hosts) + len(node.children)
+                uplinks = 1 if node.parent is not None else 0
+                connected = len(node.switch.connected_ports())
+                if connected != downlinks + uplinks:
+                    problems.append(
+                        f"{node.name}: {connected} connected ports, "
+                        f"expected {downlinks} down + {uplinks} up")
+                if node.parent is None and \
+                        node.switch.routing.default_port is not None:
+                    problems.append(
+                        f"{node.name}: root must not have a default "
+                        f"(uplink) port")
+        if sorted(self.aggregation_root.subtree_hosts) != sorted(seen):
+            problems.append("root subtree_hosts disagrees with wired hosts")
+        for issue in validate_fabric([n.switch for n in self.switches],
+                                     [h.hca for h in self.hosts]):
+            problems.append(str(issue))
+        if problems:
+            header = (f"inconsistent switch tree ({len(self.hosts)} hosts, "
+                      f"levels {[len(level) for level in self.levels]}):"
+                      f"\n  " + "\n  ".join(problems))
+            if self._has_down() and \
+                    any("unreachable" in p for p in problems):
+                raise FabricPartitioned(header)
+            raise TopologyError(header)
+
+
+def _descendants(node: TreeSwitch) -> List[str]:
+    """``node`` and every switch below it."""
+    names = [node.name]
+    for child in node.children:
+        names.extend(_descendants(child))
+    return names
 
 
 class SingleFabric(TreeFabric):

@@ -22,7 +22,11 @@ combined with an associative operation), the placement engine decides
 A plan is pure data (:class:`PlacementPlan`); :func:`install_plan`
 programs the real switches — dispatch, data buffers, ATB staging slots,
 send unit — and :func:`run_placed_reduction` drives a full packet-level
-reduction through it.  Per-level combine/forward counters land in a
+reduction through it.  The finalize instance delivers the result in one
+of the paper's Table 2 modes: the whole vector to host 0
+(``REDUCE_TO_ONE``), slice *j* to host *j* (``DISTRIBUTED``), or the
+whole vector broadcast down the tree to every host (``REDUCE_TO_ALL``).
+Per-level combine/forward counters land in a
 :class:`~repro.obs.MetricsRegistry` and, when the environment carries a
 trace collector, each combine/finalize emits a trace instant.
 """
@@ -34,18 +38,25 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..net.hca import AdapterSendError
 from ..net.packet import ActiveHeader
-from .fabric import Fabric, FabricPartitioned
-from .topology import TopologyError
+from .fabric import Fabric, FabricPartitioned, TopologyError, TreeSwitch
 
 #: Handler IDs installed by the placement engine.
 H_COMBINE = 1
+H_BROADCAST = 2
+
+#: Where the reduced vector goes (the paper's Table 2 semantics).
+REDUCE_TO_ONE = "reduce-to-one"
+DISTRIBUTED = "distributed"
+REDUCE_TO_ALL = "reduce-to-all"
+REDUCTION_MODES = (REDUCE_TO_ONE, DISTRIBUTED, REDUCE_TO_ALL)
 
 
 class CollectiveTimeout(Exception):
     """A placed collective exhausted its repair/retry attempts."""
 
-#: Switch-side vector add: 2 cycles/word (buffer operand streams in at
-#: single-cycle access; the add overlaps the copy — see apps/reduction).
+#: Switch-side vector add: 2 cycles/word (one buffer operand streams in
+#: at single-cycle access, and the add overlaps the copy thanks to the
+#: valid bits).
 SWITCH_ADD_CYCLES_PER_WORD = 2
 
 PLACEMENT_POLICIES = ("root_only", "leaf_combine", "per_level")
@@ -180,14 +191,19 @@ def region_stride(vector_bytes: int) -> int:
 
 
 def install_plan(fabric: Fabric, plan: PlacementPlan, vector_bytes: int,
-                 done: Dict, metrics=None, epoch: int = 0) -> None:
+                 metrics=None, epoch: int = 0,
+                 mode: str = REDUCE_TO_ONE) -> None:
     """Register the plan's combine/finalize handlers on the fabric.
 
-    ``done["result"]`` receives the finalized vector.  ``metrics`` is an
-    optional :class:`~repro.obs.MetricsRegistry`; each placement level
-    gets ``fabric.level<L>.combines`` / ``.partials_sent`` counters.
-    The finalize instance delivers the result to ``hosts[0]`` (the
-    paper's reduce-to-one).
+    ``metrics`` is an optional :class:`~repro.obs.MetricsRegistry`; each
+    placement level gets ``fabric.level<L>.combines`` /
+    ``.partials_sent`` counters.  The finalize instance delivers per
+    ``mode``: the vector to ``hosts[0]``, slice *j* of it to
+    ``hosts[j]`` (every word exactly once; slices differ by at most one
+    word when ``p`` does not divide the word count), or — for
+    ``REDUCE_TO_ALL`` — down the switch tree through a broadcast handler
+    installed on every switch.  Every delivery is an
+    ``(epoch, payload)`` pair.
 
     ``epoch`` makes contributions idempotent across fail-stop repairs:
     every payload carries ``(epoch, contributor, vector)``, and a
@@ -201,9 +217,26 @@ def install_plan(fabric: Fabric, plan: PlacementPlan, vector_bytes: int,
     epoch's partial sums.
     """
     env = fabric.env
+    hosts = fabric.hosts
     words = vector_bytes // 4
     stride = region_stride(vector_bytes)
     by_name = {node.name: node for node in fabric.switches}
+    if mode not in REDUCTION_MODES:
+        raise ValueError(f"unknown reduction mode {mode!r}; "
+                         f"expected one of {REDUCTION_MODES}")
+
+    def broadcast(ctx, node: TreeSwitch, payload):
+        # Leaves deliver to their hosts; internal switches fan out to
+        # their children's broadcast handlers.
+        if node.hosts:
+            for host in node.hosts:
+                yield from ctx.send(host.name, vector_bytes, payload=payload)
+            return
+        for child in node.children:
+            yield from ctx.send(
+                child.name, vector_bytes,
+                active=ActiveHeader(handler_id=H_BROADCAST, address=0x0),
+                payload=payload)
 
     counters = {}
     if metrics is not None:
@@ -223,8 +256,8 @@ def install_plan(fabric: Fabric, plan: PlacementPlan, vector_bytes: int,
         switch.kernel_state["fabric_expected"] = placement.expected
         switch.kernel_state["fabric_epoch"] = epoch
 
-        def combine_handler(ctx, switch=switch, placement=placement,
-                            state=state):
+        def combine_handler(ctx, node=node, switch=switch,
+                            placement=placement, state=state):
             yield from ctx.read(ctx.address, vector_bytes)
             msg_epoch, contributor, incoming = ctx.arg
             if msg_epoch != epoch or contributor in state["seen"]:
@@ -264,20 +297,39 @@ def install_plan(fabric: Fabric, plan: PlacementPlan, vector_bytes: int,
                                         address=placement.slot * stride),
                     payload=(epoch, placement.slot, result))
                 return
-            # Finalize: deliver to host 0 (reduce-to-one).
             if env.trace is not None:
                 env.trace.instant("fabric", "finalize", env.now,
                                   switch=placement.switch,
                                   level=placement.level)
-            done["result"] = result
-            yield from ctx.send(fabric.hosts[0].name, vector_bytes,
-                                payload=(epoch, result))
+            if mode == REDUCE_TO_ONE:
+                yield from ctx.send(hosts[0].name, vector_bytes,
+                                    payload=(epoch, result))
+            elif mode == DISTRIBUTED:
+                p = len(hosts)
+                for j, host in enumerate(hosts):
+                    part = result[j * words // p:(j + 1) * words // p]
+                    yield from ctx.send(host.name, max(4, 4 * len(part)),
+                                        payload=(epoch, part))
+            else:
+                yield from broadcast(ctx, node, (epoch, result))
 
         # Retry attempts (epoch > 0) re-install over the previous
         # attempt's handler; a first install must stay strict so a
         # double install_plan is still a loud bug.
         switch.register_handler(H_COMBINE, combine_handler,
                                 replace=epoch > 0)
+
+    if mode != REDUCE_TO_ALL:
+        return
+    for node in fabric.switches:
+        def broadcast_handler(ctx, node=node):
+            yield from ctx.read(ctx.address, vector_bytes)
+            yield from ctx.deallocate_range(ctx.address,
+                                            ctx.address + stride)
+            yield from broadcast(ctx, node, ctx.arg)
+
+        node.switch.register_handler(H_BROADCAST, broadcast_handler,
+                                     replace=epoch > 0)
 
 
 def repair_plan(fabric: Fabric, plan: PlacementPlan,
@@ -323,13 +375,18 @@ def repair_plan(fabric: Fabric, plan: PlacementPlan,
 def run_placed_reduction(fabric: Fabric, plan: PlacementPlan,
                          vectors: List[List[int]], metrics=None,
                          timeout_ps: Optional[int] = None,
-                         max_attempts: Optional[int] = None) -> Dict:
+                         max_attempts: Optional[int] = None,
+                         mode: str = REDUCE_TO_ONE) -> Dict:
     """Full packet-level reduction through the placed handlers.
 
     Every host fires its vector at its entry switch as an active
-    message; the plan's handlers fold and forward partials; host 0
-    polls the final vector.  Returns ``{"result": [...],
-    "latency_ps": ...}``.
+    message; the plan's handlers fold and forward partials; every
+    receiving host of ``mode`` polls its delivery.  Returns
+    ``{"result": [...], "latency_ps": ...}``; ``result`` is the whole
+    reduced vector (host 0's delivery, or the hosts' slices
+    concatenated for ``DISTRIBUTED``).  For ``DISTRIBUTED`` and
+    ``REDUCE_TO_ALL``, ``done["per_host"]`` lists every host's delivery
+    in host order.
 
     With ``timeout_ps`` set (defaulted from the fault plan's
     ``failstop.collective_timeout_ps`` when fail-stop events are
@@ -376,33 +433,38 @@ def run_placed_reduction(fabric: Fabric, plan: PlacementPlan,
             # partition diagnosis at repair time) owns recovery.
             done["send_failures"] = done.get("send_failures", 0) + 1
 
-    def receiver():
-        # One long-lived receiver across attempts: drains stale-epoch
-        # finalizes (a timed-out attempt may still complete late) and
-        # returns the first current-epoch result.
+    def receiver(i: int):
+        # One long-lived receiver per receiving host, across attempts:
+        # drains stale-epoch deliveries (a timed-out attempt may still
+        # complete late) and returns the first current-epoch payload.
         while True:
-            message = yield from hosts[0].hca.poll_receive()
+            message = yield from hosts[i].hca.poll_receive()
             msg_epoch, payload = message.payload
             if msg_epoch == sync["epoch"]:
                 return payload
 
-    recv = env.process(receiver(), name="fab-recv-0")
+    receivers = [0] if mode == REDUCE_TO_ONE else range(len(hosts))
+    recvs = [env.process(receiver(i), name=f"fab-recv-{i}")
+             for i in receivers]
+    # A lone receiver is raced directly: wrapping it in a condition
+    # would add an event and shift what a deadline race processes.
+    received = recvs[0] if len(recvs) == 1 else env.all_of(recvs)
     current_plan = plan
     attempt = 0
     while True:
         sync["epoch"] = attempt
-        install_plan(fabric, current_plan, vector_bytes, done,
-                     metrics=metrics, epoch=attempt)
+        install_plan(fabric, current_plan, vector_bytes, metrics=metrics,
+                     epoch=attempt, mode=mode)
         procs = [env.process(sender(i, current_plan, attempt),
                              name=(f"fab-send-{i}" if attempt == 0
                                    else f"fab-send-{i}-e{attempt}"))
                  for i in range(len(hosts))]
         if timeout_ps is None:
-            env.run(until=env.all_of(procs + [recv]))
+            env.run(until=env.all_of(procs + recvs))
             break
         deadline = env.timeout(timeout_ps)
-        env.run(until=env.any_of([recv, deadline]))
-        if recv.triggered:
+        env.run(until=env.any_of([received, deadline]))
+        if received.triggered:
             break
         attempt += 1
         if attempt >= max_attempts:
@@ -419,7 +481,11 @@ def run_placed_reduction(fabric: Fabric, plan: PlacementPlan,
                                   attempt=attempt, root=repaired.root)
         current_plan = repaired
     done["latency_ps"] = env.now
-    done["result"] = list(recv.value)
+    payloads = [list(recv.value) for recv in recvs]
+    if mode != REDUCE_TO_ONE:
+        done["per_host"] = payloads
+    done["result"] = ([word for part in payloads for word in part]
+                      if mode == DISTRIBUTED else list(payloads[0]))
     if timeout_ps is not None:
         done["attempts"] = attempt + 1
         done["repairs"] = fabric.ft.repairs

@@ -238,8 +238,7 @@ class System:
         and time spent in degraded (quarantined-handler) mode.
 
         Caveat: observability loss is reliability information too.  If a
-        capacity-bounded trace sink dropped events — the structured
-        ``env.trace`` collector or the legacy per-switch ``Tracer`` —
+        capacity-bounded ``env.trace`` collector dropped events,
         ``trace_events_dropped`` reports how many, whether or not faults
         were injected.  A 0 count is omitted, so fault-free untraced runs
         still return ``{}`` and stay bit-identical to the seed.
@@ -247,9 +246,6 @@ class System:
         report: Dict[str, float] = {}
         trace = self.env.trace
         trace_dropped = trace.dropped if trace is not None else 0
-        legacy = getattr(self.switch, "tracer", None)
-        if legacy is not None:
-            trace_dropped += legacy.dropped
         if trace_dropped:
             report["trace_events_dropped"] = float(trace_dropped)
         if self.injector is None:

@@ -30,11 +30,13 @@ from ..apps.reduction import (
     REDUCTION_HCA,
     _make_vectors,
     run_active_reduction,
+    run_normal_reduction,
 )
 from ..apps.select import SelectApp
+from ..cluster.config import ClusterConfig
+from ..cluster.fabric import TopologySpec, build_fabric
 from ..cluster.iostream import ReadStream
 from ..cluster.system import System
-from ..cluster.topology import SwitchTree
 from ..net import ActiveHeader, ChannelAdapter, Link, Message
 from ..sim import Environment
 from ..sim.units import us
@@ -70,13 +72,12 @@ def ablate_buffer_count(num_hosts: int = 8,
     """Latency of an 8-way leaf reduction vs available data buffers."""
     rows = []
     for count in counts:
-        env = Environment()
-        tree = SwitchTree(
-            env, num_hosts=num_hosts, hosts_per_leaf=8, switch_ports=16,
-            hca_config=REDUCTION_HCA,
-            active_config=ActiveSwitchConfig(num_buffers=count))
+        config = ClusterConfig(
+            active_switch=ActiveSwitchConfig(num_buffers=count))
+        fabric = build_fabric(Environment(), TopologySpec("tree", num_hosts),
+                              cluster_config=config, hca_config=REDUCTION_HCA)
         vectors = _make_vectors(num_hosts)
-        result = run_active_reduction(tree, vectors, REDUCE_TO_ONE)
+        result = run_active_reduction(fabric, vectors, REDUCE_TO_ONE)
         rows.append({"buffers": count,
                      "latency_us": result.latency_ps / 1e6})
     return rows
@@ -387,32 +388,22 @@ def ablate_receive_discipline(num_hosts: int = 64):
     path, widening the active system's win — quantifying how much the
     paper's choice of polling *understates* the benefit.
     """
-    from dataclasses import replace as dc_replace
-    from ..apps.reduction import (
-        REDUCE_TO_ONE,
-        REDUCTION_HCA,
-        _make_vectors,
-        run_active_reduction,
-        run_normal_reduction,
-    )
-
     results = {}
+    spec = TopologySpec("tree", num_hosts)
     for mode_name, hca in (
             ("polling", REDUCTION_HCA),
-            ("interrupt", dc_replace(REDUCTION_HCA,
-                                     receive_mode="interrupt",
-                                     interrupt_cost_ps=30_000_000))):
+            ("interrupt", replace(REDUCTION_HCA,
+                                  receive_mode="interrupt",
+                                  interrupt_cost_ps=30_000_000))):
         # 30 us per interrupt-driven receive: trap + handler + wakeup on
         # a 2003 kernel, vs the 18 us user-level completion poll.
         vectors = _make_vectors(num_hosts)
-        normal_tree = SwitchTree(Environment(), num_hosts=num_hosts,
-                                 hosts_per_leaf=8, switch_ports=16,
-                                 hca_config=hca)
-        normal = run_normal_reduction(normal_tree, vectors, REDUCE_TO_ONE)
-        active_tree = SwitchTree(Environment(), num_hosts=num_hosts,
-                                 hosts_per_leaf=8, switch_ports=16,
-                                 hca_config=hca)
-        active = run_active_reduction(active_tree, vectors, REDUCE_TO_ONE)
+        normal = run_normal_reduction(
+            build_fabric(Environment(), spec, hca_config=hca), vectors,
+            REDUCE_TO_ONE)
+        active = run_active_reduction(
+            build_fabric(Environment(), spec, hca_config=hca), vectors,
+            REDUCE_TO_ONE)
         results[mode_name] = {
             "normal_us": normal.latency_ps / 1e6,
             "active_us": active.latency_ps / 1e6,

@@ -1,8 +1,8 @@
 """repro.obs — the observability subsystem: structured tracing, exporters,
 terminal timelines, and the metrics registry.
 
-This package supersedes the freeform ``repro.sim.trace.Tracer`` (kept as a
-deprecated shim).  The pieces:
+This package replaced the freeform ``repro.sim.Tracer`` (removed in
+2.0).  The pieces:
 
 * :mod:`repro.obs.trace` — the typed event schema (``TraceEvent``) and the
   in-memory sink (``TraceCollector``) with span/instant/counter phases.

@@ -103,10 +103,10 @@ class TraceCollector:
 
     Attach one to an environment (``env.trace = collector``, or
     ``System.attach_trace`` / ``repro.run(trace=True)`` higher up) and the
-    instrumented components start emitting.  ``capacity`` bounds memory the
-    same way the legacy ``Tracer`` did: once full, *new* events are dropped
-    and counted in :attr:`dropped` — the head of the trace survives, and
-    the drop count is folded into ``System.reliability_report()``.
+    instrumented components start emitting.  ``capacity`` bounds memory:
+    once full, *new* events are dropped and counted in :attr:`dropped` —
+    the head of the trace survives, and the drop count is folded into
+    ``System.reliability_report()``.
     """
 
     capacity: Optional[int] = None

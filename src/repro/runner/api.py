@@ -109,10 +109,9 @@ def run(app, cases: Optional[Sequence[str]] = None, *,
     app:
         A registered application name (``"grep"``), a ``module:Class``
         path, a :class:`~repro.apps.StreamApp` subclass, an
-        :class:`AppSpec`, or — for compatibility with the old
-        ``run_four_cases`` API — a zero-argument factory callable
-        (factories cannot be fingerprinted or pickled, so they always
-        run serially and uncached).
+        :class:`AppSpec`, or a zero-argument factory callable returning
+        an app instance (factories cannot be fingerprinted or pickled,
+        so they always run serially and uncached).
     cases:
         Case labels to run; defaults to all four paper configurations.
         (A :class:`RunOptions` here is treated as ``options``.)

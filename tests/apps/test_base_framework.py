@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.apps.base import BlockWork, StreamApp, finalize_case, run_four_cases
+import repro
+from repro.apps.base import BlockWork, StreamApp, finalize_case
 from repro.cluster import ClusterConfig, System
 
 
@@ -52,21 +53,21 @@ def test_total_bytes_sums_blocks():
 
 
 def test_run_four_cases_produces_all_labels():
-    result = run_four_cases(lambda: TinyApp())
+    result = repro.run(lambda: TinyApp())
     assert set(result.cases) == {"normal", "normal+pref", "active",
                                  "active+pref"}
     assert result.name == "tiny"
 
 
 def test_four_cases_traffic_reflects_out_bytes():
-    result = run_four_cases(lambda: TinyApp())
+    result = repro.run(lambda: TinyApp())
     # Active: only out_bytes reach the host.
     assert result.case("active").host_bytes_in == 2 * 1024
     assert result.case("normal").host_bytes_in == 2 * 64 * 1024
 
 
 def test_active_case_has_switch_breakdowns():
-    result = run_four_cases(lambda: TinyApp())
+    result = repro.run(lambda: TinyApp())
     assert result.case("active").switch_cpus
     assert result.case("normal").switch_cpus == []
 

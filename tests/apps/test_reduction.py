@@ -86,7 +86,7 @@ def test_large_reduction_uses_switch_tree():
     tree = _build_tree(128)
     assert len(tree.levels[0]) == 16       # 16 leaf switches
     assert tree.depth == 3                 # leaves -> level2 -> root
-    assert tree.root.fan_in == 2
+    assert tree.aggregation_root.fan_in == 2
     assert sum(leaf.fan_in for leaf in tree.levels[0]) == 128
 
 
@@ -105,40 +105,16 @@ def test_reduce_to_all_speedup_monotone():
 
 
 def test_reduce_to_all_every_host_gets_oracle_result():
-    from repro.apps.reduction import _build_tree, _make_vectors, _oracle
-    from repro.apps.reduction import run_active_reduction
+    from repro.apps.reduction import _build_tree
+    from repro.cluster.placement import plan_placement, run_placed_reduction
     vectors = _make_vectors(16)
-    tree = _build_tree(16)
-    received = {}
-
-    env = tree.env
-    from repro.apps.reduction import _install_handlers, ActiveHeader
-    from repro.apps.reduction import H_REDUCE, VECTOR_BYTES
-    done = {}
-    _install_handlers(tree, REDUCE_TO_ALL, done)
-
-    def sender(i):
-        host = tree.hosts[i]
-        leaf = tree.leaf_of(host)
-        slot = leaf.hosts.index(host)
-        yield from host.hca.send(
-            leaf.name, VECTOR_BYTES,
-            active=ActiveHeader(handler_id=H_REDUCE,
-                                address=slot * VECTOR_BYTES),
-            payload=list(vectors[i]))
-
-    def receiver(i):
-        host = tree.hosts[i]
-        message = yield from host.hca.poll_receive()
-        received[i] = message.payload
-
-    procs = [env.process(sender(i)) for i in range(16)]
-    procs += [env.process(receiver(i)) for i in range(16)]
-    env.run(until=env.all_of(procs))
+    fabric = _build_tree(16)
+    done = run_placed_reduction(fabric, plan_placement(fabric, "per_level"),
+                                vectors, mode=REDUCE_TO_ALL)
     oracle = _oracle(vectors)
-    assert len(received) == 16
-    for i in range(16):
-        assert list(received[i]) == oracle
+    assert len(done["per_host"]) == 16
+    for received in done["per_host"]:
+        assert received == oracle
 
 
 @pytest.mark.parametrize("vector_bytes", [128, 1024, 4096])

@@ -16,7 +16,7 @@ from repro.apps.reduction import (
     run_active_reduction,
     run_normal_reduction,
 )
-from repro.cluster.topology import SwitchTree
+from repro.cluster import TopologySpec, build_fabric
 from repro.faults import FaultInjector, FaultPlan, LinkFaults
 from repro.sim import Environment
 
@@ -25,13 +25,14 @@ pytestmark = pytest.mark.chaos
 LOSSY = FaultPlan(link=LinkFaults(drop_rate=0.1, bit_error_rate=0.05))
 
 
+def _tree(num_hosts, injector=None):
+    return build_fabric(Environment(), TopologySpec("tree", num_hosts),
+                        hca_config=REDUCTION_HCA, injector=injector)
+
+
 def _lossy_tree(num_hosts, seed, plan=LOSSY):
-    env = Environment()
     injector = FaultInjector(plan, seed=seed)
-    tree = SwitchTree(env, num_hosts=num_hosts, hosts_per_leaf=8,
-                      switch_ports=16, hca_config=REDUCTION_HCA,
-                      injector=injector)
-    return tree, injector
+    return _tree(num_hosts, injector), injector
 
 
 def _host_retransmits(tree):
@@ -63,10 +64,7 @@ def test_normal_reduction_is_byte_correct_under_link_faults():
 
 def test_faults_cost_latency_but_never_bytes():
     vectors = _make_vectors(16)
-    clean_env = Environment()
-    clean_tree = SwitchTree(clean_env, num_hosts=16, hosts_per_leaf=8,
-                            switch_ports=16, hca_config=REDUCTION_HCA)
-    clean = run_active_reduction(clean_tree, vectors, REDUCE_TO_ONE)
+    clean = run_active_reduction(_tree(16), vectors, REDUCE_TO_ONE)
 
     # Seed chosen so the schedule puts retransmissions on the critical
     # path (some seeds inject only off-path faults, which cost nothing).

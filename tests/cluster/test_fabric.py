@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.cluster.fabric import (FatTreeFabric, TopologySpec, build_fabric,
-                                  ecmp_spread)
-from repro.cluster.topology import TopologyError
+from repro.cluster.fabric import (FatTreeFabric, TopologyError, TopologySpec,
+                                  build_fabric, ecmp_spread)
 from repro.net import Message
 from repro.sim import Environment
 

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.apps.reduction import REDUCTION_HCA, _make_vectors, _oracle
-from repro.cluster.fabric import TopologySpec, build_fabric
-from repro.cluster.placement import (PLACEMENT_POLICIES, plan_placement,
-                                     run_placed_reduction)
-from repro.cluster.topology import TopologyError
+from repro.cluster.fabric import TopologyError, TopologySpec, build_fabric
+from repro.cluster.placement import (DISTRIBUTED, PLACEMENT_POLICIES,
+                                     REDUCE_TO_ALL, REDUCE_TO_ONE,
+                                     plan_placement, run_placed_reduction)
 from repro.obs import MetricsRegistry
 from repro.sim import Environment
 
@@ -122,3 +122,54 @@ def test_deterministic_across_runs():
     a, b = once(), once()
     assert a["latency_ps"] == b["latency_ps"]
     assert a["result"] == b["result"]
+
+
+# ----------------------------------------------------------------------
+# Delivery modes (the paper's Table 2)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", ["tree", "fat_tree"])
+@pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
+@pytest.mark.parametrize("mode", [REDUCE_TO_ONE, DISTRIBUTED, REDUCE_TO_ALL])
+def test_every_mode_delivers_the_oracle(kind, policy, mode):
+    """Each receiving host gets its part of the exact sum: host 0 the
+    vector (reduce-to-one), host j slice j (distributed), every host
+    the vector (reduce-to-all)."""
+    fabric = _fabric(kind, 20)
+    vectors = _make_vectors(20)
+    oracle = _oracle(vectors)
+    done = run_placed_reduction(fabric, plan_placement(fabric, policy),
+                                vectors, mode=mode)
+    assert done["result"] == oracle
+    if mode == REDUCE_TO_ONE:
+        assert "per_host" not in done
+    elif mode == DISTRIBUTED:
+        assert [word for part in done["per_host"] for word in part] == oracle
+    else:
+        assert done["per_host"] == [oracle] * 20
+
+
+@pytest.mark.parametrize("kind,hosts", [
+    ("tree", 3), ("tree", 5), ("tree", 12), ("tree", 20), ("tree", 100),
+    ("fat_tree", 12),
+])
+def test_distributed_delivers_every_word_once(kind, hosts):
+    """Regression: slices of ``words // p`` words dropped every word
+    past ``p * (words // p)`` (p=3 delivered 126 of 128), and message
+    sizes disagreed with their payloads.  Slices now cover the vector
+    exactly and differ by at most one word."""
+    fabric = _fabric(kind, hosts)
+    vectors = _make_vectors(hosts)
+    done = run_placed_reduction(fabric, plan_placement(fabric, "per_level"),
+                                vectors, mode=DISTRIBUTED)
+    parts = done["per_host"]
+    assert [word for part in parts for word in part] == _oracle(vectors)
+    assert max(map(len, parts)) - min(map(len, parts)) <= 1
+    for host, part in zip(fabric.hosts, parts):
+        assert host.hca.traffic.bytes_in == max(4, 4 * len(part))
+
+
+def test_unknown_mode_rejected():
+    fabric = _fabric("tree", 8)
+    with pytest.raises(ValueError, match="reduction mode"):
+        run_placed_reduction(fabric, plan_placement(fabric, "per_level"),
+                             _make_vectors(8), mode="reduce-to-some")

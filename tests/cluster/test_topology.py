@@ -1,65 +1,73 @@
-"""Unit tests for the switch-tree topology builder."""
+"""Unit tests for the switch-tree fabric (``TopologySpec("tree")``)."""
 
 import pytest
 
-from repro.cluster.topology import SwitchTree
+from repro.cluster import TopologyError, TopologySpec, build_fabric
+from repro.cluster.fabric import Fabric, TreeFabric
 from repro.net import Message
 from repro.sim import Environment
 
 
+def _tree(num_hosts, env=None, **shape):
+    return build_fabric(env or Environment(),
+                        TopologySpec("tree", num_hosts, **shape))
+
+
 def test_single_leaf_for_few_hosts():
-    tree = SwitchTree(Environment(), num_hosts=8)
+    tree = _tree(8)
     assert tree.depth == 1
     assert len(tree.levels[0]) == 1
-    assert tree.root is tree.levels[0][0]
+    assert tree.aggregation_root is tree.levels[0][0]
 
 
 def test_two_leaves_get_a_root():
-    tree = SwitchTree(Environment(), num_hosts=16)
+    tree = _tree(16)
     assert tree.depth == 2
     assert len(tree.levels[0]) == 2
-    assert tree.root.fan_in == 2
+    assert tree.aggregation_root.fan_in == 2
 
 
 def test_128_hosts_paper_topology():
-    tree = SwitchTree(Environment(), num_hosts=128)
+    tree = _tree(128)
     assert len(tree.levels[0]) == 16
     assert tree.depth == 3
     assert len(tree.switches) == 16 + 2 + 1
+    # One name counter across levels: leaves first, then upward.
+    assert [node.name for node in tree.levels[1]] == ["sw-l1-16", "sw-l1-17"]
+    assert tree.aggregation_root.name == "sw-l2-18"
 
 
 def test_every_host_has_a_leaf():
-    tree = SwitchTree(Environment(), num_hosts=20)
+    tree = _tree(20)
     for host in tree.hosts:
         leaf = tree.leaf_of(host)
         assert host in leaf.hosts
 
 
 def test_leaf_of_unknown_host_raises():
-    tree = SwitchTree(Environment(), num_hosts=8)
-    other = SwitchTree(Environment(), num_hosts=8)
+    tree = _tree(8)
+    other = _tree(8)
     with pytest.raises(ValueError):
         tree.leaf_of(other.hosts[0])
 
 
 def test_subtree_host_bookkeeping():
-    tree = SwitchTree(Environment(), num_hosts=64)
-    assert sorted(tree.root.subtree_hosts) == sorted(
+    tree = _tree(64)
+    assert sorted(tree.aggregation_root.subtree_hosts) == sorted(
         h.name for h in tree.hosts)
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        SwitchTree(Environment(), num_hosts=0)
-    with pytest.raises(ValueError):
-        SwitchTree(Environment(), num_hosts=8, hosts_per_leaf=16,
-                   switch_ports=16)
+    with pytest.raises(TopologyError):
+        _tree(0)
+    with pytest.raises(TopologyError, match="hosts_per_leaf"):
+        _tree(8, hosts_per_leaf=16, switch_ports=16)
 
 
 def test_cross_leaf_message_routes_through_tree():
     """host0 -> host15 crosses two leaves and the root."""
     env = Environment()
-    tree = SwitchTree(env, num_hosts=16)
+    tree = _tree(16, env)
     src, dst = tree.hosts[0], tree.hosts[15]
 
     def sender(env):
@@ -73,12 +81,12 @@ def test_cross_leaf_message_routes_through_tree():
     proc = env.process(receiver(env))
     message = env.run(until=proc)
     assert message.size_bytes == 256
-    assert tree.root.switch.stats.forwarded >= 1
+    assert tree.aggregation_root.switch.stats.forwarded >= 1
 
 
 def test_same_leaf_message_stays_local():
     env = Environment()
-    tree = SwitchTree(env, num_hosts=16)
+    tree = _tree(16, env)
     src, dst = tree.hosts[0], tree.hosts[1]  # same leaf
 
     def sender(env):
@@ -90,27 +98,28 @@ def test_same_leaf_message_stays_local():
     env.process(sender(env))
     proc = env.process(receiver(env))
     env.run(until=proc)
-    assert tree.root.switch.stats.forwarded == 0
+    assert tree.aggregation_root.switch.stats.forwarded == 0
 
 
 def test_no_shared_mutable_default_configs():
-    """Regression: SwitchTree used module-level dataclass instances as
-    default arguments; two trees must never share config objects
-    implicitly."""
+    """Regression: the tree builder once used module-level dataclass
+    instances as default arguments; two fabrics must never share config
+    objects implicitly."""
+    import dataclasses
     import inspect
 
-    from repro.cluster.topology import SwitchTree as ST
-
-    signature = inspect.signature(ST.__init__)
-    assert signature.parameters["link_config"].default is None
-    assert signature.parameters["active_config"].default is None
-    a = ST(Environment(), num_hosts=8)
-    b = ST(Environment(), num_hosts=8)
-    assert a.link_config == b.link_config  # same values...
-    # ...and either not the same object, or frozen (immutable) configs.
-    import dataclasses
-    assert dataclasses.is_dataclass(a.link_config)
-    assert a.link_config.__dataclass_params__.frozen
+    for cls in (Fabric, TreeFabric):
+        signature = inspect.signature(cls.__init__)
+        assert signature.parameters["cluster_config"].default is None
+        assert signature.parameters["hca_config"].default is None
+    a, b = _tree(8), _tree(8)
+    assert a.cluster_config == b.cluster_config  # same values...
+    assert a.cluster_config is not b.cluster_config
+    # ...and frozen (immutable) configs all the way down.
+    for config in (a.cluster_config, a.cluster_config.link,
+                   a.cluster_config.active_switch, a.hca_config):
+        assert dataclasses.is_dataclass(config)
+        assert config.__dataclass_params__.frozen
 
 
 @pytest.mark.parametrize("num_hosts", [1, 3, 7, 9, 17, 20, 63, 65, 100, 129])
@@ -118,8 +127,7 @@ def test_no_shared_mutable_default_configs():
 def test_odd_host_counts_stay_consistent(num_hosts, hosts_per_leaf):
     """Satellite audit: non-power-of-hosts_per_leaf counts must keep
     routing tables, fan_in, and port accounting consistent."""
-    tree = SwitchTree(Environment(), num_hosts=num_hosts,
-                      hosts_per_leaf=hosts_per_leaf)
+    tree = _tree(num_hosts, hosts_per_leaf=hosts_per_leaf)
     tree.validate()
     assert sum(leaf.fan_in for leaf in tree.levels[0]) == num_hosts
     for level in tree.levels[1:]:
@@ -128,9 +136,7 @@ def test_odd_host_counts_stay_consistent(num_hosts, hosts_per_leaf):
 
 
 def test_validate_catches_broken_routing():
-    from repro.cluster.topology import TopologyError
-
-    tree = SwitchTree(Environment(), num_hosts=16)
+    tree = _tree(16)
     tree.validate()  # sound as built
     # Sabotage: point a leaf's route for its own host at the uplink.
     leaf = tree.levels[0][0]
@@ -141,7 +147,7 @@ def test_validate_catches_broken_routing():
 
 
 def test_radix_parameter_controls_internal_fanout():
-    tree = SwitchTree(Environment(), num_hosts=64, hosts_per_leaf=8, radix=4)
+    tree = _tree(64, hosts_per_leaf=8, radix=4)
     assert len(tree.levels[0]) == 8
     assert len(tree.levels[1]) == 2   # 8 leaves / radix 4
     assert tree.depth == 3
@@ -149,20 +155,19 @@ def test_radix_parameter_controls_internal_fanout():
 
 
 def test_bad_radix_rejected():
-    from repro.cluster.topology import TopologyError
-
     with pytest.raises(TopologyError, match="radix"):
-        SwitchTree(Environment(), num_hosts=32, radix=1)
+        _tree(32, radix=1)
     with pytest.raises(TopologyError, match="radix"):
-        SwitchTree(Environment(), num_hosts=32, switch_ports=16, radix=16)
+        _tree(32, switch_ports=16, radix=16)
 
 
 def test_switch_names_routed_downward():
     """Internal switches route descendant *switch* names explicitly, so
     placement engines can address partial results to any switch."""
-    tree = SwitchTree(Environment(), num_hosts=128)
+    tree = _tree(128)
     leaf0 = tree.levels[0][0]
-    assert tree.root.switch.routing.has_route(leaf0.name)
+    root = tree.aggregation_root
+    assert root.switch.routing.has_route(leaf0.name)
     mid = tree.levels[1][0]
-    assert tree.root.switch.routing.has_route(mid.name)
+    assert root.switch.routing.has_route(mid.name)
     assert mid.switch.routing.has_route(leaf0.name)

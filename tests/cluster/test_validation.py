@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.cluster import ClusterConfig, System
-from repro.cluster.topology import SwitchTree
+from repro.cluster import ClusterConfig, System, TopologySpec, build_fabric
 from repro.cluster.validation import (
     FabricIssue,
     assert_fabric_sound,
@@ -22,7 +21,7 @@ def test_system_fabric_is_sound():
 
 
 def test_reduction_tree_is_sound():
-    tree = SwitchTree(Environment(), num_hosts=64)
+    tree = build_fabric(Environment(), TopologySpec("tree", 64))
     switches = [node.switch for node in tree.switches]
     adapters = [host.hca for host in tree.hosts]
     assert validate_fabric(switches, adapters) == []

@@ -81,7 +81,8 @@ def test_report_accessor():
 def test_top_level_exports():
     assert repro.run is run
     assert repro.configure is configure
-    for case_name in ("Tracer", "ResultCache", "paper_grid", "RunResult"):
+    for case_name in ("TraceCollector", "ResultCache", "paper_grid",
+                      "RunResult"):
         assert hasattr(repro, case_name)
 
 

@@ -12,13 +12,14 @@ normalized metrics.
 
 import pytest
 
-from repro.apps import HashJoinApp, SelectApp, SortApp, run_four_cases
+import repro
+from repro.apps import HashJoinApp, SelectApp, SortApp
 
 pytestmark = pytest.mark.slow
 
 
 def test_select_full_scale_matches_scaled_shape():
-    full = run_four_cases(lambda: SelectApp(scale=1.0))
+    full = repro.run(lambda: SelectApp(scale=1.0))
     assert full.normalized_traffic("active") == pytest.approx(0.25, abs=0.02)
     normal_avg = (full.utilization("normal")
                   + full.utilization("normal+pref")) / 2
@@ -31,7 +32,7 @@ def test_select_full_scale_matches_scaled_shape():
 
 
 def test_hashjoin_full_scale_pref_cases_tie():
-    full = run_four_cases(lambda: HashJoinApp(scale=1.0))
+    full = repro.run(lambda: HashJoinApp(scale=1.0))
     assert full.active_pref_speedup == pytest.approx(1.0, abs=0.05)
     npref = full.case("normal+pref").host.stall_frac
     apref = full.case("active+pref").host.stall_frac
@@ -40,6 +41,6 @@ def test_hashjoin_full_scale_pref_cases_tie():
 
 def test_sort_quarter_scale_traffic_formula():
     # 1/4 of 16M records (full scale would take ~10 min of wall clock).
-    result = run_four_cases(lambda: SortApp(scale=0.25))
+    result = repro.run(lambda: SortApp(scale=0.25))
     assert result.normalized_traffic("active") == pytest.approx(0.40,
                                                                 abs=0.01)

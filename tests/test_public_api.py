@@ -25,7 +25,7 @@ PACKAGES = [
 
 
 def test_version():
-    assert repro.__version__ == "1.7.0"
+    assert repro.__version__ == "2.0.0"
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -75,30 +75,9 @@ def test_quickstart_snippet_from_readme():
     assert result.active_speedup > 0
 
 
-def test_four_cases_shim_warns_and_forwards():
-    from repro.cluster import ClusterConfig, case_configs, four_cases
-
-    base = ClusterConfig()
-    with pytest.warns(DeprecationWarning, match="four_cases"):
-        legacy = four_cases(base)
-    assert legacy == case_configs(base)
-
-
-def test_run_four_cases_shim_warns_and_forwards():
-    from repro.apps import GrepApp, run_four_cases
-
-    with pytest.warns(DeprecationWarning, match="run_four_cases"):
-        legacy = run_four_cases(lambda: GrepApp(scale=0.05))
-    direct = repro.run(lambda: GrepApp(scale=0.05))
-    assert legacy.name == "grep"
-    assert set(legacy.cases) == set(direct.cases)
-    for label, case in direct.cases.items():
-        assert legacy.case(label) == case
-
-
 def test_runner_exports_are_authoritative():
     for name in ("run", "run_many", "configure", "paper_grid", "make_spec",
                  "AppSpec", "ExperimentRunner", "ResultCache", "RunResult",
-                 "Tracer", "Report"):
+                 "TraceCollector", "Report"):
         assert name in repro.__all__, name
         assert hasattr(repro, name)
