@@ -9,9 +9,11 @@ Four measurements:
   serial time;
 * the DES kernel's event-storm throughput (heap slot reuse + inlined
   run loop) via the standard benchmark fixture;
-* the tracing gate is free when disabled: the untraced event storm
-  runs within 2% of the same storm on an `Environment` that has never
-  seen a collector (and a traced storm stays within 2x).
+* the tracing gate is free when disabled: two interleaved untraced
+  event storms agree to within scheduler noise, and a traced storm
+  that records one span per event stays within 2x
+  (``tests/obs/test_gate.py`` shows an untraced run never reaches a
+  collector).
 
 Run with::
 
@@ -93,11 +95,12 @@ def _traced_event_storm(producers: int, events_each: int) -> int:
     from repro.obs import TraceCollector
 
     env = Environment()
-    env.trace = TraceCollector()
+    trace = env.trace = TraceCollector()
 
     def producer(env):
         for _ in range(events_each):
             yield env.timeout(100)
+            trace.span("producer", "tick", env.now - 100, 100)
 
     for _ in range(producers):
         env.process(producer(env))
@@ -105,27 +108,18 @@ def _traced_event_storm(producers: int, events_each: int) -> int:
     return len(env.trace)
 
 
-def test_untraced_run_never_enters_the_traced_loop(monkeypatch):
-    """The disabled gate costs one check at run() entry, nothing per
-    event: an untraced run must execute the original drain loops only."""
-    def boom(self, until):
-        raise AssertionError("untraced run entered _run_traced")
-
-    monkeypatch.setattr(Environment, "_run_traced", boom)
-    assert _event_storm(4, 1_000) == 1_000 * 100
-
-
 def test_tracing_gate_overhead():
     """Wall-clock guard for the tracing gate.
 
     The < 2% "unchanged when disabled" criterion is guaranteed
-    structurally — the untraced drain loops are the pre-obs loops,
-    byte for byte, and ``test_untraced_run_never_enters_the_traced_loop``
-    proves untraced runs execute only them.  This test bounds what
-    timing can honestly bound: interleaved untraced samples must agree
-    to within scheduler noise, and the traced loop must stay within a
-    small constant factor on a pure-kernel storm (real benchmarks,
-    dominated by model work, see far less).
+    structurally — run() checks ``env.trace`` once, on entry, and an
+    untraced run never reaches a collector
+    (``tests/obs/test_gate.py``).  This test bounds what timing can
+    honestly bound: interleaved untraced samples must agree to within
+    scheduler noise, and a traced storm that records one span per
+    event must stay within a small constant factor of the untraced one
+    on a pure-kernel storm (real benchmarks, dominated by model work,
+    see far less).
     """
     _event_storm(16, 2_000)          # warm-up
     untraced_a, untraced_b, traced = [], [], []
@@ -146,6 +140,6 @@ def test_tracing_gate_overhead():
     # Identical code measured twice: anything beyond scheduler noise
     # would mean the gate leaked into the untraced path.
     assert drift < 0.10
-    # Heap-occupancy sampling every 64 events keeps the traced loop
-    # within a small constant factor even on this pure-kernel storm.
+    # One list append per span keeps the traced storm within a small
+    # constant factor even with nothing but the kernel to amortise it.
     assert overhead < 2.0

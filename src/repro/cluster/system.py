@@ -193,8 +193,8 @@ class System:
     def attach_trace(self, collector) -> None:
         """Attach a ``repro.obs.TraceCollector``: every instrumented
         component starts emitting structured events into it.  Call before
-        ``env.run`` — the drain loop picks its instrumented flavour on
-        entry."""
+        ``env.run``, which hands the collector the environment on entry
+        to sample its event heap."""
         self.env.trace = collector
 
     # ------------------------------------------------------------------

@@ -15,9 +15,9 @@ This package replaced the freeform ``repro.sim.Tracer`` (removed in
   over the scattered ``TimeWeighted``/``BusyTracker``/stats objects, with
   snapshot/diff support.
 
-Tracing is off by default and zero-cost when disabled: every emit site is
-gated on ``env.trace is None`` and the DES drain loop is untouched unless a
-collector is attached.  See ``docs/observability.md``.
+Tracing is off by default and zero-cost when disabled: every emit site, and
+``Environment.run`` once on entry, is gated on ``env.trace is None``.  See
+``docs/observability.md``.
 """
 
 from .trace import (

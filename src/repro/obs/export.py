@@ -59,9 +59,7 @@ def to_chrome_trace(traces: TraceInput) -> Dict[str, Any]:
     """
     mapping = _as_mapping(traces)
     events: List[Dict[str, Any]] = []
-    dropped_total = 0
     for pid, (label, collector) in enumerate(mapping.items()):
-        dropped_total += collector.dropped
         events.append({
             "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
             "args": {"name": label},
@@ -101,7 +99,9 @@ def to_chrome_trace(traces: TraceInput) -> Dict[str, Any]:
         "otherData": {
             "schema_version": SCHEMA_VERSION,
             "clock": "picoseconds (exact values in args.ts_ps/args.dur_ps)",
-            "dropped_events": dropped_total,
+            "dropped_events": sum(c.dropped for c in mapping.values()),
+            "dropped_by_case": {label: c.dropped
+                                for label, c in mapping.items()},
         },
     }
 
@@ -192,7 +192,8 @@ def load_chrome_trace(path: str) -> Dict[str, TraceCollector]:
         elif event["name"] == "thread_name":
             thread_names[(event["pid"], event["tid"])] = event["args"]["name"]
 
-    out: Dict[str, TraceCollector] = {}
+    # One collector per case, events or not, in the document's order.
+    out = {label: TraceCollector() for label in process_names.values()}
     for event in document["traceEvents"]:
         phase = event["ph"]
         if phase == "M":
@@ -211,9 +212,13 @@ def load_chrome_trace(path: str) -> Dict[str, TraceCollector]:
             collector.instant(component, event["name"], ts_ps, **args)
         else:
             collector.span(component, event["name"], ts_ps, dur_ps, **args)
-    dropped = document.get("otherData", {}).get("dropped_events", 0)
-    if dropped and len(out) == 1:
-        next(iter(out.values())).dropped = dropped
+    other = document.get("otherData", {})
+    by_case = other.get("dropped_by_case")
+    if by_case is None and len(out) == 1:
+        # Written before per-case counts: a lone case owns the total.
+        by_case = {next(iter(out)): other.get("dropped_events", 0)}
+    for label, dropped in (by_case or {}).items():
+        out.setdefault(label, TraceCollector()).dropped = dropped
     return out
 
 

@@ -68,10 +68,10 @@ class Environment:
         #: Static failure context (see add_context).
         self.context: Dict[str, Any] = {}
         self._context_providers: List[Callable[[], Dict[str, Any]]] = []
-        #: Structured trace sink (a ``repro.obs.TraceCollector``), or None.
-        #: When None — the default — run() takes the uninstrumented drain
-        #: loops below and tracing costs nothing.  Attach a collector
-        #: *before* calling run(); the loop flavour is chosen on entry.
+        #: Structured trace sink (a ``repro.obs.TraceCollector``), or None,
+        #: the default.  run() checks it once, on entry, and hands an
+        #: attached collector this environment to sample its event heap
+        #: until the run ends; the drain loops are the same either way.
         self.trace: Optional[Any] = None
 
     # ------------------------------------------------------------------
@@ -114,15 +114,11 @@ class Environment:
             raise SimulationError("no scheduled events") from None
         self._now = entry[0]
         event = entry[3]
-        self._recycle(entry)
-        self._event_count += 1
-        event._process()
-
-    def _recycle(self, entry: list) -> None:
-        """Return a popped heap slot for reuse by :meth:`schedule`."""
-        entry[3] = None
+        entry[3] = None  # recycle the heap slot for schedule()
         if len(self._free_slots) < 4096:
             self._free_slots.append(entry)
+        self._event_count += 1
+        event._process()
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.
@@ -138,10 +134,19 @@ class Environment:
         integer horizon performs no deadlock check, since callers
         routinely schedule more work afterwards.
         """
-        if self.trace is not None:
-            return self._run_traced(until)
+        trace = self.trace
+        if trace is not None:
+            # The collector samples the event heap until the run ends.
+            trace._enter_run(self)
+            try:
+                return self._drain(until)
+            finally:
+                trace._exit_run(self)
+        return self._drain(until)
 
-        # The drain loops below inline step() — pop, advance the clock,
+    def _drain(self, until: Optional[Any]) -> Any:
+        """The drain loops of :meth:`run`, one per form of ``until``."""
+        # They inline step() — pop, advance the clock,
         # recycle the heap slot, dispatch — binding the queue and
         # heappop as locals.  On a full benchmark run this loop executes
         # millions of times; dropping the method call and tuple unpack
@@ -208,88 +213,6 @@ class Environment:
             if self._watchdog_armed:
                 self._watchdog_check()
         self._now = horizon
-        return None
-
-    def _run_traced(self, until: Optional[Any]) -> Any:
-        """run() with the event-heap occupancy profiling hook.
-
-        Mirrors the three drain loops of :meth:`run` (same semantics,
-        including the per-event watchdog poll and the deadlock checks)
-        but samples ``len(queue)`` into the attached trace as the
-        ``event-heap`` counter on the ``sim`` track: once on entry, once
-        every 64 processed events, and once on exit.  Kept out of line so
-        the untraced path stays byte-identical to the seed loops.
-        """
-        trace = self.trace
-        queue = self._queue
-        free = self._free_slots
-        pop = heappop
-        trace.counter("sim", "event-heap", self._now, len(queue))
-
-        if until is None:
-            while queue:
-                entry = pop(queue)
-                self._now = entry[0]
-                event = entry[3]
-                entry[3] = None
-                if len(free) < 4096:
-                    free.append(entry)
-                self._event_count += 1
-                event._process()
-                if self._watchdog_armed:
-                    self._watchdog_check()
-                if not self._event_count & 63:
-                    trace.counter("sim", "event-heap", self._now, len(queue))
-            trace.counter("sim", "event-heap", self._now, 0)
-            self._deadlock_check("event queue drained")
-            return None
-
-        if isinstance(until, Event):
-            sentinel = until
-            finished = []
-            sentinel.add_callback(lambda _e: finished.append(True))
-            while queue and not finished:
-                entry = pop(queue)
-                self._now = entry[0]
-                event = entry[3]
-                entry[3] = None
-                if len(free) < 4096:
-                    free.append(entry)
-                self._event_count += 1
-                event._process()
-                if self._watchdog_armed:
-                    self._watchdog_check()
-                if not self._event_count & 63:
-                    trace.counter("sim", "event-heap", self._now, len(queue))
-            trace.counter("sim", "event-heap", self._now, len(queue))
-            if not finished:
-                self._deadlock_check(
-                    f"event queue drained before {sentinel!r} was processed")
-                raise SimulationError(
-                    f"queue drained before {sentinel!r} was processed")
-            if not sentinel.ok:
-                raise sentinel.value
-            return sentinel.value
-
-        horizon = int(until)
-        if horizon < self._now:
-            raise SimulationError(
-                f"cannot run until {horizon}: already at {self._now}")
-        while queue and queue[0][0] <= horizon:
-            entry = pop(queue)
-            self._now = entry[0]
-            event = entry[3]
-            entry[3] = None
-            if len(free) < 4096:
-                free.append(entry)
-            self._event_count += 1
-            event._process()
-            if self._watchdog_armed:
-                self._watchdog_check()
-            if not self._event_count & 63:
-                trace.counter("sim", "event-heap", self._now, len(queue))
-        self._now = horizon
-        trace.counter("sim", "event-heap", self._now, len(queue))
         return None
 
     # ------------------------------------------------------------------

@@ -68,6 +68,24 @@ def test_single_collector_round_trip_preserves_drops(tmp_path):
     assert collector.dropped == 2
 
 
+def test_multi_case_round_trip_keeps_drops_and_empty_cases(tmp_path):
+    traces = {}
+    for label in ("normal", "active"):
+        c = TraceCollector(capacity=1)
+        for i in range(3):
+            c.instant("a", "tick", i)
+        traces[label] = c
+    traces["idle"] = TraceCollector()
+    path = tmp_path / "trace.json"
+    document = write_chrome_trace(path, traces)
+    assert document["otherData"]["dropped_events"] == 4
+    loaded = load_chrome_trace(path)
+    assert list(loaded) == ["normal", "active", "idle"]
+    for label, collector in traces.items():
+        assert list(loaded[label]) == list(collector)
+        assert loaded[label].dropped == collector.dropped
+
+
 def test_validate_rejects_malformed_documents(tmp_path):
     assert validate_chrome_trace({}) != []
     assert validate_chrome_trace({"traceEvents": 3}) != []

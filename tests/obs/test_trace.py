@@ -85,3 +85,38 @@ def test_clear_resets_everything():
     assert len(c) == 0 and c.dropped == 0
     c.instant("a", "tick", 2)
     assert len(c) == 1
+
+
+def test_every_event_constructor_validates():
+    event = TraceEvent(PHASE_SPAN, "c", "n", 5, 2, (("a", 1),))
+    assert TraceEvent._make(tuple(event)) == event
+    assert event._replace(ts_ps=7).ts_ps == 7
+    with pytest.raises(ValueError):
+        TraceEvent._make(("Z", "c", "n", 0, 0, ()))
+    with pytest.raises(ValueError):
+        event._replace(dur_ps=-1)
+    with pytest.raises(ValueError):
+        event._replace(phase="Z")
+    with pytest.raises(AttributeError):
+        event.args = ()
+
+
+def test_event_is_a_named_tuple_of_its_fields():
+    event = TraceEvent(PHASE_INSTANT, "c", "n", 5)
+    assert event == (PHASE_INSTANT, "c", "n", 5, 0, ())
+    assert hash(event) == hash((PHASE_INSTANT, "c", "n", 5, 0, ()))
+    assert {event, TraceEvent(PHASE_INSTANT, "c", "n", 5)} == {event}
+    assert event.as_dict() == {"phase": PHASE_INSTANT, "component": "c",
+                               "name": "n", "ts_ps": 5, "dur_ps": 0}
+
+
+def test_events_are_built_on_first_read():
+    c = TraceCollector(capacity=3)
+    for i in range(5):
+        c.instant("a", "tick", i, seq=i)
+    assert len(c) == 3 and c.dropped == 2
+    assert c._built == []          # counting built nothing
+    first = c.events
+    assert [e.get("seq") for e in first] == [0, 1, 2]
+    assert c.events is first       # built once, then cached
+    assert c == c and c != TraceCollector(capacity=3)
