@@ -1,6 +1,6 @@
 """The paper's nine benchmark applications."""
 
-from .base import BlockWork, StreamApp, finalize_case
+from .base import BlockWork, StreamApp, SystemApp, finalize_case
 from .grep import GrepApp, LiteralMatcher
 from .hashjoin import HashJoinApp
 from .md5 import Md5App, md5_digest, md5_interleaved
@@ -19,6 +19,7 @@ from .tar import TarApp, build_archive, parse_archive, ustar_header
 __all__ = [
     "BlockWork",
     "StreamApp",
+    "SystemApp",
     "finalize_case",
     "GrepApp",
     "LiteralMatcher",

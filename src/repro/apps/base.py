@@ -108,7 +108,61 @@ class _StallSampler:
         return self._last[channel]
 
 
-class StreamApp:
+class SystemApp:
+    """Base class for the benchmarks that run on one :class:`System`.
+
+    Subclasses set :attr:`name`, return their base configuration from
+    :meth:`cluster_config`, and implement :meth:`run_normal` and
+    :meth:`run_active` as DES processes taking ``(system, depth)``;
+    :meth:`run_case` runs one configuration through them.
+    """
+
+    name: str = "system-app"
+
+    def cluster_config(self) -> ClusterConfig:
+        """The base cluster configuration for this benchmark."""
+        raise NotImplementedError
+
+    def run_normal(self, system: System, depth: int):
+        """normal / normal+pref: everything on the host."""
+        raise NotImplementedError
+
+    def run_active(self, system: System, depth: int):
+        """active / active+pref: switch handler + host portion."""
+        raise NotImplementedError
+
+    def run_case(self, config: ClusterConfig,
+                 trace=None, metrics_sink: Optional[dict] = None
+                 ) -> CaseResult:
+        """Run one configuration.
+
+        ``trace`` is an optional ``repro.obs.TraceCollector``; when given,
+        every instrumented component emits structured events into it for
+        the duration of the case.  ``metrics_sink`` is an optional dict
+        that receives the system's full ``MetricsRegistry`` snapshot after
+        the run — the cache/TLB/memory counters behind the bench harness
+        and the golden-equivalence tests.  The returned
+        :class:`CaseResult` is identical either way — observers never
+        feed back into results.
+        """
+        system = System(config)
+        if trace is not None:
+            system.attach_trace(trace)
+        # Failure context: a wedged run's DeadlockError/WatchdogError
+        # names the benchmark and configuration it happened in.
+        system.env.add_context(app=self.name, config=config.case_label)
+        if config.active:
+            runner = self.run_active(system, config.prefetch_depth)
+        else:
+            runner = self.run_normal(system, config.prefetch_depth)
+        proc = system.env.process(runner, name=f"{self.name}-{config.case_label}")
+        system.env.run(until=proc)
+        if metrics_sink is not None:
+            metrics_sink.update(system.metrics.snapshot())
+        return finalize_case(system, config.case_label)
+
+
+class StreamApp(SystemApp):
     """Base class for the single-stream I/O benchmarks.
 
     Subclasses set :attr:`name`, :attr:`request_bytes`, optionally
@@ -213,39 +267,6 @@ class StreamApp:
         switch_proc = env.process(switch_stage(env), name=f"{self.name}-switch")
         host_proc = env.process(host_stage(env), name=f"{self.name}-host")
         yield env.all_of([switch_proc, host_proc])
-
-    # ------------------------------------------------------------------
-    # Entry point for one configuration
-    # ------------------------------------------------------------------
-    def run_case(self, config: ClusterConfig,
-                 trace=None, metrics_sink: Optional[dict] = None
-                 ) -> CaseResult:
-        """Run one configuration.
-
-        ``trace`` is an optional ``repro.obs.TraceCollector``; when given,
-        every instrumented component emits structured events into it for
-        the duration of the case.  ``metrics_sink`` is an optional dict
-        that receives the system's full ``MetricsRegistry`` snapshot after
-        the run — the cache/TLB/memory counters behind the bench harness
-        and the golden-equivalence tests.  The returned
-        :class:`CaseResult` is identical either way — observers never
-        feed back into results.
-        """
-        system = System(config)
-        if trace is not None:
-            system.attach_trace(trace)
-        # Failure context: a wedged run's DeadlockError/WatchdogError
-        # names the benchmark and configuration it happened in.
-        system.env.add_context(app=self.name, config=config.case_label)
-        if config.active:
-            runner = self.run_active(system, config.prefetch_depth)
-        else:
-            runner = self.run_normal(system, config.prefetch_depth)
-        proc = system.env.process(runner, name=f"{self.name}-{config.case_label}")
-        system.env.run(until=proc)
-        if metrics_sink is not None:
-            metrics_sink.update(system.metrics.snapshot())
-        return finalize_case(system, config.case_label)
 
 
 def finalize_case(system: System, label: str) -> CaseResult:

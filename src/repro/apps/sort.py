@@ -22,9 +22,8 @@ from typing import List
 from ..cluster.config import ClusterConfig
 from ..cluster.iostream import ReadStream
 from ..cluster.system import System
-from ..metrics.results import CaseResult
 from ..workloads import datamation
-from .base import finalize_case
+from .base import SystemApp
 
 try:
     import numpy as _np
@@ -74,7 +73,7 @@ def _block_owner_counts(keys: List[bytes], per_block: int,
     return blocks
 
 
-class SortApp:
+class SortApp(SystemApp):
     """Parallel sort distribution phase under the four configurations."""
 
     name = "sort"
@@ -114,6 +113,20 @@ class SortApp:
         return self.records_per_node * datamation.RECORD_BYTES
 
     # ------------------------------------------------------------------
+    def run_normal(self, system: System, depth: int):
+        """Every node reads its share and sends each record to its owner."""
+        yield self._all_nodes(system, self._node_normal, depth)
+
+    def run_active(self, system: System, depth: int):
+        """The switch handler routes every node's records in flight."""
+        yield self._all_nodes(system, self._node_active, depth)
+
+    def _all_nodes(self, system: System, node_process, depth: int):
+        env = system.env
+        return env.all_of([env.process(node_process(system, node, depth),
+                                       name=f"sort-node{node}")
+                           for node in range(self.num_nodes)])
+
     def _node_normal(self, system: System, node: int, depth: int):
         host = system.hosts[node]
         stream = ReadStream(system, host, total_bytes=self.bytes_per_node,
@@ -159,23 +172,6 @@ class SortApp:
                 yield from system.switch_to_host_bulk(
                     system.hosts[dst], count * datamation.RECORD_BYTES)
             yield from stream.done_with(arrival)
-
-    # ------------------------------------------------------------------
-    def run_case(self, config: ClusterConfig,
-                 trace=None, metrics_sink=None) -> CaseResult:
-        system = System(config)
-        if trace is not None:
-            system.attach_trace(trace)
-        env = system.env
-        runner = self._node_active if config.active else self._node_normal
-        procs = [env.process(runner(system, node, config.prefetch_depth),
-                             name=f"sort-node{node}")
-                 for node in range(self.num_nodes)]
-        gate = env.all_of(procs)
-        env.run(until=gate)
-        if metrics_sink is not None:
-            metrics_sink.update(system.metrics.snapshot())
-        return finalize_case(system, config.case_label)
 
     # Functional oracle ---------------------------------------------------
     def distribution_is_conservative(self) -> bool:

@@ -27,9 +27,8 @@ from typing import List
 from ..cluster.config import ClusterConfig
 from ..cluster.iostream import ReadStream
 from ..cluster.system import System
-from ..metrics.results import CaseResult
 from ..workloads import files
-from .base import finalize_case
+from .base import SystemApp
 
 try:
     import numpy as _np
@@ -104,7 +103,7 @@ def parse_archive(data: bytes) -> List[tuple]:
 # ----------------------------------------------------------------------
 # The benchmark
 # ----------------------------------------------------------------------
-class TarApp:
+class TarApp(SystemApp):
     """Tar under the four configurations (custom flows).
 
     The cluster has two hosts: host0 runs tar, host1 holds the output
@@ -210,18 +209,3 @@ class TarApp:
         host_proc = env.process(host_stage(env), name="tar-host")
         switch_proc = env.process(switch_stage(env), name="tar-switch")
         yield env.all_of([host_proc, switch_proc])
-
-    # ------------------------------------------------------------------
-    def run_case(self, config: ClusterConfig,
-                 trace=None, metrics_sink=None) -> CaseResult:
-        system = System(config)
-        if trace is not None:
-            system.attach_trace(trace)
-        runner = (self.run_active(system, config.prefetch_depth)
-                  if config.active
-                  else self.run_normal(system, config.prefetch_depth))
-        proc = system.env.process(runner, name=f"tar-{config.case_label}")
-        system.env.run(until=proc)
-        if metrics_sink is not None:
-            metrics_sink.update(system.metrics.snapshot())
-        return finalize_case(system, config.case_label)

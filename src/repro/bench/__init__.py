@@ -287,20 +287,20 @@ def sweep_cell_key(spec) -> str:
 
 
 def run_sweep_bench(cells_in=None, progress=None) -> dict:
-    """Time the adaptive knee search against the exhaustive grid.
+    """Time the adaptive knee search against the exhaustive sweep.
 
     Methodology matches :func:`run_service_bench`: warming the template
-    caches (built app, system template, fabric hop walk) is the
-    separately-timed ``prepare_s``; ``wall_s`` covers exactly one
-    adaptive :func:`~repro.traffic.find_knee` call, ``grid_wall_s`` one
-    exhaustive ``mode="grid"`` call over the same rates.  No result
-    cache — a cache hit measures nothing.  Every cell *verifies both
-    modes return the same knee* before reporting, so each committed
-    snapshot re-proves the equivalence the speedup rests on, and
-    records the simulation counts behind it (``sims`` vs
-    ``grid_sims``).
+    caches (built app, fabric hop walk) is the separately-timed
+    ``prepare_s``; ``wall_s`` covers exactly one adaptive
+    :func:`~repro.traffic.find_knee` call, ``grid_wall_s`` one
+    exhaustive :func:`~repro.traffic.sweep_offered_load` over the same
+    rates, the reference.  No result cache — a cache hit measures
+    nothing.  Every cell *verifies both return the same knee* before
+    reporting, so each committed snapshot re-proves the equivalence the
+    speedup rests on, and records the simulation counts behind it
+    (``sims`` vs ``grid_sims``, the points the sweep simulated).
     """
-    from ..traffic.sweep import find_knee
+    from ..traffic.sweep import find_knee, sweep_offered_load
 
     if cells_in is None:
         cells_in = sweep_grid()
@@ -310,27 +310,28 @@ def run_sweep_bench(cells_in=None, progress=None) -> dict:
         key = sweep_cell_key(spec)
         t0 = time.perf_counter()
         # One throwaway probe warms every per-process template cache
-        # (built app, system template, hop walk) so neither timed mode
-        # is billed for one-time construction the other then reuses.
-        find_knee(spec, [rates[0]], mode="grid")
+        # (built app, hop walk) so neither timed search is billed for
+        # one-time construction the other then reuses.
+        find_knee(spec, rates[:1])
         prepare_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        adaptive = find_knee(spec, rates, mode="adaptive")
+        adaptive = find_knee(spec, rates)
         wall_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        grid = find_knee(spec, rates, mode="grid")
+        grid = sweep_offered_load(spec, rates)
         grid_wall_s = time.perf_counter() - t0
-        counters = ("sims", "evaluations")
-        if ({k: v for k, v in adaptive.knee().items() if k not in counters}
-                != {k: v for k, v in grid.knee().items() if k not in counters}):
+        verdict = {k: v for k, v in adaptive.knee().items()
+                   if k not in ("sims", "evaluations")}
+        if verdict != grid.knee():
             raise RuntimeError(  # pragma: no cover - equivalence bug
-                f"{key}: adaptive and grid knees disagree")
+                f"{key}: adaptive and exhaustive knees disagree")
+        grid_sims = len(grid.results)
         cells[key] = {
             "wall_s": round(wall_s, 6),
             "grid_wall_s": round(grid_wall_s, 6),
             "speedup_vs_grid": round(grid_wall_s / wall_s, 4),
             "sims": adaptive.sims,
-            "grid_sims": grid.sims,
+            "grid_sims": grid_sims,
             "knee_rps": adaptive.knee_rps,
             "max_sustainable_rps":
                 adaptive.best.rate_rps if adaptive.best else None,
@@ -341,7 +342,7 @@ def run_sweep_bench(cells_in=None, progress=None) -> dict:
         }
         if progress is not None:
             progress(f"{key}: {wall_s:.2f}s adaptive ({adaptive.sims} sims), "
-                     f"{grid_wall_s:.2f}s grid ({grid.sims} sims, "
+                     f"{grid_wall_s:.2f}s grid ({grid_sims} sims, "
                      f"{grid_wall_s / wall_s:.1f}x)")
     return {"cells": cells, "apps": apps}
 

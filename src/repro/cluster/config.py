@@ -92,12 +92,25 @@ class ClusterConfig:
     # ------------------------------------------------------------------
     def with_case(self, active: bool, prefetch: bool) -> "ClusterConfig":
         """This configuration adjusted to one of the four cases."""
-        wanted_cpus = (ActiveSwitchConfig(num_cpus=self.num_switch_cpus)
-                       if self.num_switch_cpus != self.active_switch.num_cpus
-                       else self.active_switch)
+        active_switch = self.active_switch
+        if self.num_switch_cpus != active_switch.num_cpus:
+            active_switch = replace(active_switch,
+                                    num_cpus=self.num_switch_cpus)
         return replace(self, active=active,
                        prefetch_depth=2 if prefetch else 1,
-                       active_switch=wanted_cpus)
+                       active_switch=active_switch)
+
+    def with_case_label(self, label: str) -> "ClusterConfig":
+        """This configuration adjusted to the case named ``label``.
+
+        The one place a case label is parsed; :attr:`case_label` is its
+        inverse.
+        """
+        if label not in CASE_ORDER:
+            raise ValueError(
+                f"unknown case {label!r}; expected one of {CASE_ORDER}")
+        return self.with_case(active=label.startswith("active"),
+                              prefetch=label.endswith("+pref"))
 
     @property
     def case_label(self) -> str:
@@ -112,10 +125,4 @@ CASE_ORDER = ("normal", "normal+pref", "active", "active+pref")
 
 def case_configs(base: ClusterConfig):
     """The four (label, config) evaluation points for ``base``."""
-    return [
-        ("normal", base.with_case(active=False, prefetch=False)),
-        ("normal+pref", base.with_case(active=False, prefetch=True)),
-        ("active", base.with_case(active=True, prefetch=False)),
-        ("active+pref", base.with_case(active=True, prefetch=True)),
-    ]
-
+    return [(label, base.with_case_label(label)) for label in CASE_ORDER]

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional
 
 import heapq
 from collections import deque
+from dataclasses import replace
 
 from ..cpu.accounting import charge
 from ..net.link import Link
@@ -33,25 +34,19 @@ from ..switch.active import ActiveSwitch
 from ..switch.base import BaseSwitch
 from .config import ClusterConfig
 from .node import ComputeNode, StorageNode
-from .template import SystemTemplate, build_system_template
 
 
 class System:
     """One switch-centred SAN cluster."""
 
     def __init__(self, config: ClusterConfig,
-                 env: Optional[Environment] = None,
-                 template: Optional["SystemTemplate"] = None):
+                 env: Optional[Environment] = None):
         self.config = config
         self.env = env if env is not None else Environment()
-        # The config-pure construction prefix (resolved switch config,
-        # node layout) either arrives pre-derived from the per-process
-        # template cache (repro.cluster.template) or is derived inline;
-        # both paths produce value-equal data, so the wired system is
-        # bit-identical either way (tests/cluster/test_template.py).
-        if template is None:
-            template = build_system_template(config)
-        switch_config = template.switch_config
+        needed_ports = config.num_hosts + config.num_storage
+        switch_config = config.switch
+        if needed_ports > switch_config.num_ports:
+            switch_config = replace(switch_config, num_ports=needed_ports)
         if config.active:
             self.switch = ActiveSwitch(self.env, "sw0", switch_config,
                                        config.active_switch)
@@ -73,13 +68,13 @@ class System:
         self._links: Dict[str, tuple] = {}
 
         port = 0
-        for name in template.host_names:
-            node = ComputeNode(self.env, name, config)
+        for i in range(config.num_hosts):
+            node = ComputeNode(self.env, f"host{i}", config)
             self._attach(node.hca, node.name, port)
             self.hosts.append(node)
             port += 1
-        for name in template.storage_names:
-            node = StorageNode(self.env, name, config)
+        for i in range(config.num_storage):
+            node = StorageNode(self.env, f"storage{i}", config)
             self._attach(node.tca, node.name, port)
             if self.injector is not None:
                 node.attach_faults(self.injector)

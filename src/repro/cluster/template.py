@@ -9,33 +9,26 @@ re-done for every point and every case:
   of a cell and every rate point of a sweep;
 * walking a freshly wired fabric's routing tables for the client hop
   counts (~0.9 s cold for a 1024-host tree) — identical for every rate
-  point and both service cases;
-* planning handler placement — pure data derived from the topology
-  spec;
-* resolving the :class:`~repro.cluster.System` switch configuration
-  (the port bump) and node layout.
+  point and both service cases.
 
 This module holds one per-process cache for each.  Workers in the warm
 pool (:mod:`repro.runner.pool`) keep these caches alive across tasks,
-so the second point a worker simulates skips all of the above.
+so the second point a worker simulates skips both.
 
-Correctness: every cache is keyed by frozen, value-equal inputs
-(:class:`~repro.runner.AppSpec`, :class:`ClusterConfig`,
-:class:`~repro.cluster.fabric.TopologySpec`), every cached value is
-either immutable, copied on the way out (placement plans), or already
-shared by the established reuse precedent (app instances — the bench
-harness has always reused one app across all four cases and proven
-bit-identity against cold builds).  ``tests/cluster/test_template.py``
-proves template-reused runs equal cold-built runs for every registered
-app on both simulation paths.  Unhashable inputs (e.g. a config
-carrying a mutable fault plan) bypass the caches and build cold.
+Correctness: both caches are keyed by frozen, value-equal inputs
+(:class:`~repro.runner.AppSpec`, the topology kind and host count),
+hop lists are copied on the way out, and app instances follow the
+established reuse precedent (the bench harness has always reused one
+app across all four cases and proven bit-identity against cold
+builds).  ``tests/cluster/test_template.py`` proves cache-shared runs
+equal cold-built runs for every registered app.  Unhashable specs
+bypass the app cache and build cold.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: Built applications kept per process (workload memory is the limit;
 #: a paper-scale corpus is a few MB, so a handful is plenty).
@@ -43,13 +36,9 @@ _APP_CACHE_MAX = 8
 
 _APP_CACHE: "OrderedDict" = OrderedDict()
 _HOPS_CACHE: Dict[Tuple[str, int], Tuple[int, ...]] = {}
-_PLAN_CACHE: Dict[tuple, object] = {}
-_SYSTEM_TEMPLATES: Dict[object, "SystemTemplate"] = {}
 
 _STATS = {"app_hits": 0, "app_misses": 0,
           "hops_hits": 0, "hops_misses": 0,
-          "plan_hits": 0, "plan_misses": 0,
-          "system_hits": 0, "system_misses": 0,
           "bypasses": 0}
 
 
@@ -125,99 +114,16 @@ def client_hops(kind: str, hosts: int) -> List[int]:
 
 
 # ----------------------------------------------------------------------
-# Placement plans
-# ----------------------------------------------------------------------
-def placement_plan(fabric, policy: str, root: Optional[str] = None):
-    """A :class:`PlacementPlan` for ``fabric``, cached by topology spec.
-
-    ``plan_placement`` is a pure function of the fabric's wiring, which
-    is itself a pure function of its :class:`TopologySpec` — so plans
-    are keyed by ``(spec, policy, root)`` and shared across fabric
-    instances.  The returned plan is an independent copy (plans carry
-    mutable dicts); repair paths that re-plan around failures call
-    ``plan_placement`` directly and never see this cache.
-    """
-    from .placement import plan_placement
-
-    key = (fabric.spec, policy, root)
-    try:
-        plan = _PLAN_CACHE.get(key)
-    except TypeError:
-        _STATS["bypasses"] += 1
-        return plan_placement(fabric, policy, root=root)
-    if plan is None:
-        _STATS["plan_misses"] += 1
-        plan = plan_placement(fabric, policy, root=root)
-        _PLAN_CACHE[key] = plan
-    else:
-        _STATS["plan_hits"] += 1
-    return plan.copy()
-
-
-# ----------------------------------------------------------------------
-# System templates
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SystemTemplate:
-    """The config-pure, immutable prefix of ``System`` construction.
-
-    Holds the resolved (port-bumped) switch configuration and the node
-    name layout; ports are implicit — hosts first, storage after, in
-    declaration order, exactly as ``System`` has always wired them.
-    """
-
-    switch_config: object
-    host_names: Tuple[str, ...]
-    storage_names: Tuple[str, ...]
-
-
-def build_system_template(config) -> "SystemTemplate":
-    """Derive a :class:`SystemTemplate` from a config (uncached)."""
-    needed_ports = config.num_hosts + config.num_storage
-    switch_config = config.switch
-    if needed_ports > switch_config.num_ports:
-        switch_config = replace(switch_config, num_ports=needed_ports)
-    return SystemTemplate(
-        switch_config=switch_config,
-        host_names=tuple(f"host{i}" for i in range(config.num_hosts)),
-        storage_names=tuple(f"storage{i}" for i in range(config.num_storage)))
-
-
-def system_template(config) -> "SystemTemplate":
-    """The cached :class:`SystemTemplate` for a ``ClusterConfig``.
-
-    ``ClusterConfig`` is frozen with value equality, so the dict lookup
-    is the whole cost of a hit; configs that fail to hash (mutable
-    fault plans) are derived cold, which is always correct.
-    """
-    try:
-        template = _SYSTEM_TEMPLATES.get(config)
-    except TypeError:
-        _STATS["bypasses"] += 1
-        return build_system_template(config)
-    if template is None:
-        _STATS["system_misses"] += 1
-        template = build_system_template(config)
-        _SYSTEM_TEMPLATES[config] = template
-    else:
-        _STATS["system_hits"] += 1
-    return template
-
-
-# ----------------------------------------------------------------------
 # Lifecycle (tests, memory pressure)
 # ----------------------------------------------------------------------
 def clear_templates() -> None:
     """Drop every per-process template cache (cold-build from here)."""
     _APP_CACHE.clear()
     _HOPS_CACHE.clear()
-    _PLAN_CACHE.clear()
-    _SYSTEM_TEMPLATES.clear()
 
 
 def template_stats() -> Dict[str, int]:
     """Hit/miss counters plus current cache sizes (diagnostics)."""
     stats = dict(_STATS)
-    stats.update(apps=len(_APP_CACHE), hops=len(_HOPS_CACHE),
-                 plans=len(_PLAN_CACHE), systems=len(_SYSTEM_TEMPLATES))
+    stats.update(apps=len(_APP_CACHE), hops=len(_HOPS_CACHE))
     return stats

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..cluster.config import CASE_ORDER
 from ..runner.api import run
 from .registry import Experiment, register
 
@@ -28,7 +29,7 @@ def multiprogramming_throughput(scale: float = 1 / 32) -> List[Dict]:
     """Background ops completable during the scan, per configuration."""
     result = run("select", scale=scale)
     rows = []
-    for label in ("normal", "normal+pref", "active", "active+pref"):
+    for label in CASE_ORDER:
         case = result.case(label)
         idle_ps = case.host.idle_ps
         op_ps = BACKGROUND_OP_CYCLES * 500  # host cycle = 500 ps

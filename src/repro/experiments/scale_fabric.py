@@ -27,8 +27,7 @@ from typing import Dict, List
 
 from ..apps.reduction import REDUCTION_HCA, _make_vectors, _oracle
 from ..cluster.fabric import TopologySpec, build_fabric
-from ..cluster.placement import run_placed_reduction
-from ..cluster.template import placement_plan
+from ..cluster.placement import plan_placement, run_placed_reduction
 from ..apps.reduction import run_normal_reduction
 from ..sim.core import Environment
 from .registry import Experiment, register
@@ -47,9 +46,7 @@ def _one_point(num_hosts: int, system: str, kind: str = "tree") -> Dict:
         outcome = run_normal_reduction(fabric, vectors, "reduce-to-one")
         result, latency_ps = outcome.result_vector, outcome.latency_ps
     else:
-        # Plans are pure topology data; the template cache shares one
-        # per (spec, policy) across the sweep's fabric instances.
-        plan = placement_plan(fabric, system)
+        plan = plan_placement(fabric, system)
         done = run_placed_reduction(fabric, plan, vectors)
         result, latency_ps = done["result"], done["latency_ps"]
     if list(result) != _oracle(vectors):

@@ -17,15 +17,15 @@ largest offered rate whose aggregate p99 stays under the SLO with no
 drops and goodput tracking offered load (``max_sustainable_rps``), and
 the first rate that breaks (``knee_rps``).
 
-Since PR 10 the knee comes from the adaptive search
+The knee comes from the adaptive search
 (:func:`repro.traffic.find_knee`): bisection over the 16-point rate
 grid costs at most 5 service simulations per configuration instead of
-16 — ≥3x fewer — and the fixed-grid mode is retained as the golden
-reference (``mode="grid"``; the CI sweep-smoke step and the bench
+16 — ≥3x fewer.  The exhaustive ``sweep_offered_load(spec,
+rates).knee()`` is its reference (the CI sweep-smoke step and the bench
 ``sweep:*`` cells assert both return the same knee).
 
 Deterministic end to end: arrival schedules are pure functions of the
-seed, and every path — adaptive, exhaustive grid, cache-restored —
+seed, and every path — adaptive, exhaustive sweep, cache-restored —
 evaluates rate points through the identical simulation.
 """
 
@@ -62,14 +62,12 @@ def _base_spec(case: str, topology: str, hosts: int) -> ServiceSpec:
         seed=7, slo_ms=SLO_MS)
 
 
-def service_slo_sweep(scale: float = 1.0, mode: str = "adaptive",
-                      cache=None) -> List[Dict]:
+def service_slo_sweep(scale: float = 1.0, cache=None) -> List[Dict]:
     """One row per (topology, case): the knee under the SLO.
 
-    ``mode="adaptive"`` (default) bisects the rate grid;
-    ``mode="grid"`` runs the exhaustive golden reference.  Each row
-    records ``sims`` — the service simulations that configuration's
-    knee cost — so the ≥3x saving is visible in the artifact itself.
+    Each row records ``sims`` — the service simulations that
+    configuration's adaptive knee search cost — so the ≥3x saving over
+    the exhaustive grid is visible in the artifact itself.
     """
     top = max(RATES[0], scale * RATES[-1])
     rates = [rate for rate in RATES if rate <= top]
@@ -77,7 +75,7 @@ def service_slo_sweep(scale: float = 1.0, mode: str = "adaptive",
     for topology, hosts in TOPOLOGIES:
         for case in ("normal", "active"):
             spec = _base_spec(case, topology, hosts)
-            search = find_knee(spec, rates, mode=mode, cache=cache)
+            search = find_knee(spec, rates, cache=cache)
             knee = search.knee()
             rows.append({
                 "topology": topology,

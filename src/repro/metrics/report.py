@@ -11,12 +11,9 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from ..cluster import config as _cluster_config
 from ..sim.units import ps_to_ms
 from .results import BenchmarkResult
-
-#: The paper's presentation order (kept local: metrics must not depend
-#: on the cluster layer, which itself uses these reports).
-CASE_ORDER = ("normal", "normal+pref", "active", "active+pref")
 
 
 def _format_row(cells: Sequence[str], widths: Sequence[int]) -> str:
@@ -39,7 +36,7 @@ def render_table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
 def performance_table(result: BenchmarkResult) -> str:
     """The three normalized metrics for each configuration."""
     rows = []
-    for label in CASE_ORDER:
+    for label in _cluster_config.CASE_ORDER:
         if label not in result.cases:
             continue
         case = result.cases[label]
@@ -59,7 +56,7 @@ def performance_table(result: BenchmarkResult) -> str:
 def breakdown_table(result: BenchmarkResult) -> str:
     """Execution-time breakdown rows for each processor."""
     rows = []
-    for label in CASE_ORDER:
+    for label in _cluster_config.CASE_ORDER:
         if label not in result.cases:
             continue
         for row_label, breakdown in result.cases[label].breakdown_rows():
@@ -80,7 +77,8 @@ def reliability_table(result: BenchmarkResult) -> str:
     retransmits, disk/SCSI retries, contained handler crashes, degraded
     time — one column per case.  Empty string on fault-free results.
     """
-    labels = [label for label in CASE_ORDER if label in result.cases]
+    labels = [label for label in _cluster_config.CASE_ORDER
+              if label in result.cases]
     labels += [label for label in result.cases if label not in labels]
     keys: List[str] = []
     for label in labels:
@@ -289,7 +287,7 @@ def performance_bars(result: BenchmarkResult) -> str:
             ("execution time (normalized)", result.normalized_time),
             ("host utilization", result.utilization),
             ("host I/O traffic (normalized)", result.normalized_traffic)):
-        rows = [(label, getter(label)) for label in CASE_ORDER
+        rows = [(label, getter(label)) for label in _cluster_config.CASE_ORDER
                 if label in result.cases]
         sections.append(bar_chart(f"{result.name}: {metric}", rows,
                                   ceiling=max(1.0, max(v for _, v in rows))))

@@ -80,7 +80,7 @@ def _run_grid(specs, cases, seed, runner, progress):
     return {label: bench for (label, _), bench in grid.items()}
 
 
-def _run_traced_grid(specs, cases, seed):
+def _trace_grid(specs, cases, seed):
     """Serial traced pass: one RunResult per spec plus merged collectors.
 
     The merged mapping keys are ``"app/case"`` so every traced cell gets
@@ -114,7 +114,7 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     if tracing:
-        grid, traces = _run_traced_grid(specs, cases, args.seed)
+        grid, traces = _trace_grid(specs, cases, args.seed)
         if args.trace_out:
             from ..obs.export import write_chrome_trace
             document = write_chrome_trace(args.trace_out, traces)

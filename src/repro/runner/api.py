@@ -21,11 +21,12 @@ routes every figure through the same pool).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from ..metrics.results import BenchmarkResult, CaseResult
-from .harness import CASE_LABELS, ExperimentRunner
+from .harness import CASE_LABELS, Cell, ExperimentRunner, simulate_cell
 from .options import RunOptions, make_run_options
 from .progress import Progress
 from .spec import AppSpec, make_spec
@@ -154,35 +155,23 @@ def run(app, cases: Optional[Sequence[str]] = None, *,
 def _run_with_options(app, opts: RunOptions,
                       progress: Optional[Progress] = None) -> RunResult:
     """The typed execution path every ``run()`` call goes through."""
-    parallel = _default("parallel", opts.parallel)
-    cache = _default("cache", opts.cache)
-    show_progress = _default("show_progress", opts.show_progress)
-    params = dict(opts.params)
     overrides = dict(opts.overrides) or None
-
-    if opts.profile:
-        return _run_profiled(app, cases=opts.cases, seed=opts.seed,
-                             name=opts.name, preset=opts.preset,
-                             overrides=overrides, params=params)
-
-    if opts.trace:
-        return _run_traced(app, cases=opts.cases, seed=opts.seed,
-                           name=opts.name, preset=opts.preset,
-                           overrides=overrides, params=params,
-                           trace=opts.trace)
-
-    if callable(app) and not isinstance(app, type):
-        if params or opts.preset or overrides:
+    factory = callable(app) and not isinstance(app, type)
+    if factory:
+        if opts.params or opts.preset or overrides:
             raise TypeError(
                 "factory callables take no spec parameters; pass a "
                 "registered name or application class instead")
-        return _run_factory(app, cases=opts.cases, seed=opts.seed,
-                            name=opts.name)
+        return _run_in_process(app, None, opts)
+    spec = make_spec(app, preset=opts.preset, overrides=overrides,
+                     **dict(opts.params))
+    if opts.trace or opts.profile:
+        return _run_in_process(None, spec, opts)
 
-    spec = make_spec(app, preset=opts.preset, overrides=overrides, **params)
     runner = ExperimentRunner(
-        parallel=parallel, cache=cache, progress=progress,
-        show_progress=show_progress,
+        parallel=_default("parallel", opts.parallel),
+        cache=_default("cache", opts.cache), progress=progress,
+        show_progress=_default("show_progress", opts.show_progress),
         start_method=_DEFAULTS["start_method"])  # type: ignore[arg-type]
     result = runner.run_app(spec, cases=opts.cases, seed=opts.seed,
                             name=opts.name)
@@ -197,129 +186,62 @@ def _run_with_options(app, opts: RunOptions,
     return RunResult.from_benchmark(result, stats)
 
 
-def _run_factory(app_factory, cases: Optional[Sequence[str]],
-                 seed: Optional[int], name: Optional[str]) -> RunResult:
-    """Old-API path: fresh app per case, serial, uncached."""
-    from dataclasses import replace
+def _run_in_process(factory, spec: Optional[AppSpec],
+                    opts: RunOptions) -> RunResult:
+    """Serial, in-process, uncached: factory, traced and profiled runs.
 
-    labels = tuple(cases) if cases is not None else CASE_LABELS
-    results: Dict[str, CaseResult] = {}
-    app_name = name
-    for label in labels:
-        instance = app_factory()
-        if app_name is None:
-            app_name = instance.name
-        config = instance.cluster_config()
-        if seed is not None:
-            config = replace(config, seed=seed)
-        config = config.with_case(active=label.startswith("active"),
-                                  prefetch=label.endswith("+pref"))
-        results[label] = instance.run_case(config)
-    return RunResult(name=app_name or "benchmark", cases=results,
-                     stats={"parallel": 1, "cache_dir": None,
-                            "cache_hits": 0, "spec": None})
+    One loop over the cases.  A factory builds a fresh app per case; a
+    spec's app comes from the per-process cache, exactly as in the
+    harness, and every case runs through the harness's cell body
+    (:func:`~repro.runner.harness.simulate_cell`) with the optional
+    observers: one ``TraceCollector`` per case when ``opts.trace`` is
+    set, one ``cProfile`` per case (dumped as pstats next to the result
+    cache) when ``opts.profile`` is.
+    """
+    import cProfile
 
-
-def _run_traced(app, *, cases: Optional[Sequence[str]],
-                seed: Optional[int], name: Optional[str],
-                preset: Optional[str], overrides: Optional[dict],
-                params: dict, trace) -> RunResult:
-    """Traced path: serial, in-process, uncached — one collector per case."""
-    import os
-    from dataclasses import replace
-
+    from ..cluster.template import cached_app
     from ..obs.export import write_chrome_trace
     from ..obs.trace import TraceCollector
-
-    factory = callable(app) and not isinstance(app, type)
-    spec = None
-    if factory:
-        if params or preset or overrides:
-            raise TypeError(
-                "factory callables take no spec parameters; pass a "
-                "registered name or application class instead")
-    else:
-        spec = make_spec(app, preset=preset, overrides=overrides, **params)
-
-    labels = tuple(cases) if cases is not None else CASE_LABELS
-    results: Dict[str, CaseResult] = {}
-    collectors: Dict[str, object] = {}
-    app_name = name
-    for label in labels:
-        instance = app() if factory else spec.build()
-        if app_name is None:
-            app_name = instance.name
-        config = (instance.cluster_config() if factory
-                  else spec.base_config(instance))
-        if seed is not None:
-            config = replace(config, seed=seed)
-        config = config.with_case(active=label.startswith("active"),
-                                  prefetch=label.endswith("+pref"))
-        collector = TraceCollector()
-        results[label] = instance.run_case(config, trace=collector)
-        collectors[label] = collector
-
-    trace_path = None
-    if not isinstance(trace, bool):
-        trace_path = os.fspath(trace)
-        write_chrome_trace(trace_path, collectors)
-    return RunResult(name=app_name or "benchmark", cases=results,
-                     stats={"parallel": 1, "cache_dir": None,
-                            "cache_hits": 0, "spec": spec,
-                            "trace_path": trace_path},
-                     traces=collectors)
-
-
-def _run_profiled(app, *, cases: Optional[Sequence[str]],
-                  seed: Optional[int], name: Optional[str],
-                  preset: Optional[str], overrides: Optional[dict],
-                  params: dict) -> RunResult:
-    """Profiled path: serial, in-process, uncached — one cProfile per
-    case, dumped as pstats next to the result cache."""
-    import cProfile
-    from dataclasses import replace
-
     from .cache import default_cache_dir
 
-    factory = callable(app) and not isinstance(app, type)
-    spec = None
-    if factory:
-        if params or preset or overrides:
-            raise TypeError(
-                "factory callables take no spec parameters; pass a "
-                "registered name or application class instead")
-    else:
-        spec = make_spec(app, preset=preset, overrides=overrides, **params)
-
-    profile_dir = default_cache_dir() / "profiles"
-    profile_dir.mkdir(parents=True, exist_ok=True)
-    labels = tuple(cases) if cases is not None else CASE_LABELS
-    results: Dict[str, CaseResult] = {}
+    stats: Dict[str, object] = {"parallel": 1, "cache_dir": None,
+                                "cache_hits": 0, "spec": spec}
+    traces: Dict[str, object] = {}
     profiles: Dict[str, str] = {}
-    app_name = name
-    for label in labels:
-        instance = app() if factory else spec.build()
+    if opts.profile:
+        profile_dir = default_cache_dir() / "profiles"
+        profile_dir.mkdir(parents=True, exist_ok=True)
+
+    results: Dict[str, CaseResult] = {}
+    app_name = opts.name
+    for label in CASE_LABELS if opts.cases is None else opts.cases:
+        app = factory() if factory is not None else cached_app(spec)
         if app_name is None:
-            app_name = instance.name
-        config = (instance.cluster_config() if factory
-                  else spec.base_config(instance))
-        if seed is not None:
-            config = replace(config, seed=seed)
-        config = config.with_case(active=label.startswith("active"),
-                                  prefetch=label.endswith("+pref"))
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            results[label] = instance.run_case(config)
-        finally:
-            profiler.disable()
-        path = profile_dir / f"{app_name}-{label}.pstats"
-        profiler.dump_stats(path)
-        profiles[label] = str(path)
+            app_name = app.name
+        # A factory's app carries its own configuration: a bare spec's
+        # base config is exactly ``app.cluster_config()``.
+        cell = Cell(spec=spec if factory is None else AppSpec(app.name),
+                    case=label, seed=opts.seed)
+        trace = TraceCollector() if opts.trace else None
+        profiler = cProfile.Profile() if opts.profile else None
+        results[label] = simulate_cell(cell, app, trace, profiler)[0]
+        if trace is not None:
+            traces[label] = trace
+        if profiler is not None:
+            path = profile_dir / f"{app_name}-{label}.pstats"
+            profiler.dump_stats(path)
+            profiles[label] = str(path)
+
+    if opts.trace:
+        stats["trace_path"] = None
+        if not isinstance(opts.trace, bool):
+            stats["trace_path"] = os.fspath(opts.trace)
+            write_chrome_trace(stats["trace_path"], traces)
+    if opts.profile:
+        stats["profiles"] = profiles
     return RunResult(name=app_name or "benchmark", cases=results,
-                     stats={"parallel": 1, "cache_dir": None,
-                            "cache_hits": 0, "spec": spec,
-                            "profiles": profiles})
+                     stats=stats, traces=traces)
 
 
 def run_many(specs: Sequence, *,

@@ -29,18 +29,16 @@ import traceback
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..cluster.config import CASE_ORDER
 from ..metrics.results import BenchmarkResult, CaseResult
 from .cache import ResultCache, decode_case, encode_case, resolve_cache
 from .fingerprint import FingerprintError, code_version, fingerprint
-from .pool import WorkerPool, shared_pool
+from .pool import WorkerPool, resolve_start_method, shared_pool
 from .progress import CellEvent, Progress, make_progress
 from .spec import AppSpec, make_spec
 
 #: The paper's presentation order for the four configurations.
-CASE_LABELS = ("normal", "normal+pref", "active", "active+pref")
-
-#: Environment variable overriding the multiprocessing start method.
-START_METHOD_ENV = "REPRO_RUNNER_START_METHOD"
+CASE_LABELS = CASE_ORDER
 
 
 class RunnerError(RuntimeError):
@@ -68,16 +66,45 @@ def cell_config(cell: Cell, app=None):
     config = cell.spec.base_config(app)
     if cell.seed is not None:
         config = replace(config, seed=cell.seed)
-    return config.with_case(active=cell.case.startswith("active"),
-                            prefetch=cell.case.endswith("+pref"))
+    return config.with_case_label(cell.case)
+
+
+def simulate_cell(cell: Cell, app=None, trace=None, profiler=None
+                  ) -> Tuple[CaseResult, float, Optional[str]]:
+    """The one cell body: build, configure, run, time, fingerprint.
+
+    Returns ``(case, elapsed_s, config_print)``.  ``app`` supplies an
+    already-built application (a factory's fresh instance) instead of
+    the spec's per-process cached one.  ``trace`` (a
+    ``repro.obs.TraceCollector``) and ``profiler`` (a
+    ``cProfile.Profile``, enabled around ``run_case`` only) are optional
+    observers; neither changes the result.
+    """
+    from ..cluster.template import cached_app
+
+    started = time.perf_counter()
+    if app is None:
+        app = cached_app(cell.spec)
+    config = cell_config(cell, app)
+    if profiler is not None:
+        profiler.enable()
+    try:
+        case = (app.run_case(config) if trace is None
+                else app.run_case(config, trace=trace))
+    finally:
+        if profiler is not None:
+            profiler.disable()
+    elapsed = time.perf_counter() - started
+    try:
+        config_print = fingerprint("config", config)
+    except FingerprintError:
+        config_print = None
+    return case, elapsed, config_print
 
 
 def run_cell(cell: Cell) -> CaseResult:
     """Simulate one cell from scratch (any process, any order)."""
-    from ..cluster.template import cached_app
-
-    app = cached_app(cell.spec)
-    return app.run_case(cell_config(cell, app))
+    return simulate_cell(cell)[0]
 
 
 def cell_key(cell: Cell) -> str:
@@ -103,19 +130,9 @@ def _execute_cell(payload: Tuple[int, Cell]):
     Results travel as the cache codec's JSON dicts so the parent
     reconstructs them with the same decoder used for cache hits.
     """
-    from ..cluster.template import cached_app
-
     index, cell = payload
     try:
-        started = time.perf_counter()
-        app = cached_app(cell.spec)
-        config = cell_config(cell, app)
-        case = app.run_case(config)
-        elapsed = time.perf_counter() - started
-        try:
-            config_print = fingerprint("config", config)
-        except FingerprintError:
-            config_print = None
+        case, elapsed, config_print = simulate_cell(cell)
         return ("ok", index, encode_case(case), elapsed, config_print)
     except BaseException:
         return ("error", index, traceback.format_exc(), 0.0, None)
@@ -136,15 +153,10 @@ class ExperimentRunner:
         self.cache = resolve_cache(cache)
         self._progress = progress
         self._show_progress = show_progress
-        self._start_method = (start_method
-                              or os.environ.get(START_METHOD_ENV, "spawn"))
+        self._start_method = resolve_start_method(start_method)
         #: Explicit pool injection (tests); ``None`` draws from the
         #: process-wide warm pool (:func:`repro.runner.pool.shared_pool`).
         self._pool = pool
-
-    #: Back-compat shim; the public spelling is
-    #: :func:`repro.runner.cache.resolve_cache`.
-    _resolve_cache = staticmethod(resolve_cache)
 
     # ------------------------------------------------------------------
     # Core engine
@@ -176,18 +188,8 @@ class ExperimentRunner:
         return results  # type: ignore[return-value]
 
     def _run_serial(self, pending, cells, results, progress) -> None:
-        from ..cluster.template import cached_app
-
         for index, cell in pending:
-            started = time.perf_counter()
-            app = cached_app(cell.spec)
-            config = cell_config(cell, app)
-            case = app.run_case(config)
-            elapsed = time.perf_counter() - started
-            try:
-                config_print = fingerprint("config", config)
-            except FingerprintError:
-                config_print = None
+            case, elapsed, config_print = simulate_cell(cell)
             self._store(cell, case, elapsed, config_print)
             results[index] = case
             self._record(progress, index, cell, case, elapsed, False)

@@ -13,9 +13,8 @@ search (:func:`~repro.traffic.sweep.find_knee`) all draw from the same
 workers.  Workers are *warm*: the initializer imports :mod:`repro` and
 pre-computes the code-version fingerprint, and each worker keeps the
 per-process template caches (:mod:`repro.cluster.template`) —
-fabric hop walks, placement plans, built apps — so the second point a
-worker simulates skips everything that is a pure function of the
-configuration.
+fabric hop walks and built apps — so the second point a worker
+simulates skips both.
 
 Correctness guards:
 
@@ -36,15 +35,15 @@ import multiprocessing
 import os
 from typing import Optional, Tuple
 
-#: Environment variable overriding the multiprocessing start method
-#: (shared with :mod:`repro.runner.harness`).
+#: Environment variable overriding the multiprocessing start method.
 START_METHOD_ENV = "REPRO_RUNNER_START_METHOD"
 
 #: Simulation-mode variables a worker bakes in at spawn time.
 _SIM_ENV_VARS = ("REPRO_SIM_FLUID",)
 
 
-def _resolve_start_method(start_method: Optional[str]) -> str:
+def resolve_start_method(start_method: Optional[str]) -> str:
+    """``start_method``, else :data:`START_METHOD_ENV`, else spawn."""
     return start_method or os.environ.get(START_METHOD_ENV, "spawn")
 
 
@@ -79,7 +78,7 @@ class WorkerPool:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.start_method = _resolve_start_method(start_method)
+        self.start_method = resolve_start_method(start_method)
         self.sim_signature = _sim_signature()
         self._pool = None
         self.closed = False
@@ -130,7 +129,7 @@ def shared_pool(workers: int, start_method: Optional[str] = None) -> WorkerPool:
     replaces it.
     """
     global _SHARED
-    method = _resolve_start_method(start_method)
+    method = resolve_start_method(start_method)
     pool = _SHARED
     if pool is not None and not pool.closed \
             and pool.start_method == method \

@@ -16,10 +16,9 @@ front-door contract.
 
 from .admission import ADMISSION_POLICIES, CLOSED, AdmissionQueue
 from .arrivals import ARRIVAL_KINDS, Arrival, generate_schedule
-from .service import (SERVICE_CASES, ServiceResult, ServiceSpec,
-                      make_service_spec, serve, service_key)
-from .sweep import (GOODPUT_TOLERANCE, KNEE_MODES, KneeSearch,
-                    ServiceSweep, find_knee, sweep_offered_load)
+from .service import (GOODPUT_TOLERANCE, SERVICE_CASES, ServiceResult,
+                      ServiceSpec, make_service_spec, serve, service_key)
+from .sweep import KneeSearch, ServiceSweep, find_knee, sweep_offered_load
 
 __all__ = [
     "ADMISSION_POLICIES",
@@ -28,7 +27,6 @@ __all__ = [
     "Arrival",
     "CLOSED",
     "GOODPUT_TOLERANCE",
-    "KNEE_MODES",
     "KneeSearch",
     "SERVICE_CASES",
     "ServiceResult",

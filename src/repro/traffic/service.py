@@ -35,7 +35,7 @@ complete``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.fabric import TOPOLOGY_KINDS
 from ..cpu.accounting import charge
@@ -58,6 +58,10 @@ MIN_RESPONSE_BYTES = 64
 
 #: Percentiles every latency series reports.
 SERVICE_PERCENTILES = (50.0, 95.0, 99.0)
+
+#: Goodput must stay within this fraction of offered load to count as
+#: "sustained" when no explicit SLO is declared.
+GOODPUT_TOLERANCE = 0.95
 
 _SECOND_PS = 1_000_000_000_000
 
@@ -214,17 +218,13 @@ class ServiceResult:
 
     def meets_slo(self, slo_ms: Optional[float] = None,
                   max_drop_rate: float = 0.01) -> bool:
-        """Did this run sustain its load under the (given) SLO?"""
-        slo = self.slo_ms if slo_ms is None else slo_ms
-        if self.drop_rate > max_drop_rate:
-            return False
-        if self.completed < self.admitted:
-            return False
-        if slo is not None:
-            p99 = self.latency_us.get("p99")
-            if p99 is None or p99 > slo * 1000.0:
-                return False
-        return True
+        """Did this run sustain its load under the (given) SLO?
+
+        The knee search's test (:func:`_sustained`), so a point the
+        search calls the knee never meets its SLO.
+        """
+        return _sustained(self, self.slo_ms if slo_ms is None else slo_ms,
+                          max_drop_rate)
 
     # -- lossless codec (cache entries, pool results) -----------------
     def to_dict(self) -> Dict[str, object]:
@@ -233,6 +233,26 @@ class ServiceResult:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ServiceResult":
         return cls(**data)
+
+
+def _sustained(result: ServiceResult, slo_ms: Optional[float],
+               max_drop_rate: float) -> bool:
+    """One shared "did this rate point hold" predicate.
+
+    Used identically by :meth:`ServiceResult.meets_slo`, the exhaustive
+    sweep, the adaptive search, and the experiments, so every path
+    agrees on what a knee is: drop rate under ``max_drop_rate``, every
+    admitted request completed, goodput within
+    :data:`GOODPUT_TOLERANCE` of offered load, and — when an SLO
+    applies — aggregate p99 under it.
+    """
+    ok = (result.drop_rate <= max_drop_rate
+          and result.completed == result.admitted
+          and result.goodput_rps >= GOODPUT_TOLERANCE * result.offered_rps)
+    if ok and slo_ms is not None:
+        p99 = result.latency_us.get("p99")
+        ok = p99 is not None and p99 <= slo_ms * 1000.0
+    return ok
 
 
 # ----------------------------------------------------------------------
@@ -283,17 +303,15 @@ def _simulate(spec: ServiceSpec, trace=None, prebuilt=None) -> ServiceResult:
     serves it, so sweep points at different rates share one built app.
     The simulation itself is identical either way.
     """
-    from ..cluster.template import cached_service_app, system_template
+    from ..cluster.system import System
+    from ..cluster.template import cached_service_app
 
     app_spec, app = (prebuilt if prebuilt is not None
                      else cached_service_app(spec))
-    config = app_spec.base_config(app)
-    config = replace(config, seed=spec.seed)
-    config = config.with_case(active=(spec.case == "active"),
-                              prefetch=False)
+    config = replace(app_spec.base_config(app), seed=spec.seed)
+    config = config.with_case_label(spec.case)
 
-    from ..cluster.system import System
-    system = System(config, template=system_template(config))
+    system = System(config)
     env = system.env
     if trace is not None:
         system.attach_trace(trace)
@@ -549,13 +567,39 @@ def serve(app="grep", *, cache=None, trace=None, **params) -> ServiceResult:
     if trace is not None:
         return _simulate(spec, trace=trace)
     from ..runner.cache import resolve_cache
-    store = resolve_cache(cache)
-    if store is None:
-        return _simulate(spec)
-    key = service_key(spec)
-    payload = store.get_json(key)
-    if payload is not None:
-        return ServiceResult.from_dict(payload)
-    result = _simulate(spec)
-    store.put_json(key, result.to_dict(), meta={"label": spec.label})
+    [(result, _)] = _evaluate([spec], resolve_cache(cache))
     return result
+
+
+def _evaluate(points: Sequence[ServiceSpec], store,
+              simulate: Optional[Callable[[List[ServiceSpec]],
+                                          List[ServiceResult]]] = None,
+              ) -> List[Tuple[ServiceResult, bool]]:
+    """The one cached evaluator behind ``serve``, sweeps and knee searches.
+
+    Looks every point up in ``store`` (a
+    :class:`~repro.runner.ResultCache`, or ``None`` for no cache), runs
+    the misses through ``simulate`` — specs in, results out, by default
+    :func:`_simulate` on each in order — stores what it simulated, and
+    returns ``(result, simulated)`` per point, aligned with ``points``.
+    """
+    keys = [None if store is None else service_key(point)
+            for point in points]
+    out: List[Optional[Tuple[ServiceResult, bool]]] = [None] * len(points)
+    misses = []
+    for index, key in enumerate(keys):
+        payload = None if key is None else store.get_json(key)
+        if payload is None:
+            misses.append(index)
+        else:
+            out[index] = (ServiceResult.from_dict(payload), False)
+    if misses:
+        wanted = [points[index] for index in misses]
+        fresh = (simulate(wanted) if simulate is not None
+                 else [_simulate(point) for point in wanted])
+        for index, result in zip(misses, fresh):
+            if store is not None:
+                store.put_json(keys[index], result.to_dict(),
+                               meta={"label": points[index].label})
+            out[index] = (result, True)
+    return out  # type: ignore[return-value]

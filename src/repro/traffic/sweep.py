@@ -13,10 +13,10 @@ sustained *prefix* under a declared SLO.
 :func:`find_knee` is the adaptive alternative: instead of simulating
 the whole grid it brackets the saturation boundary — bisection over a
 given grid, or geometric probing plus rate bisection on a continuous
-range — so a knee costs O(log) service simulations.  Fixed-grid mode
-(``mode="grid"``) is retained as the golden reference; on monotone
-curves the two return the same knee (proven by property test in
-``tests/traffic/test_sweep.py``).
+range — so a knee costs O(log) service simulations.  The exhaustive
+``sweep_offered_load(spec, rates).knee()`` is its reference; on
+monotone curves the two return the same knee (proven by property test
+in ``tests/traffic/test_sweep.py``).
 """
 
 from __future__ import annotations
@@ -25,14 +25,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..metrics.report import render_table
-from .service import ServiceResult, ServiceSpec, _simulate, serve, service_key
-
-#: Goodput must stay within this fraction of offered load to count as
-#: "sustained" when no explicit SLO is declared.
-GOODPUT_TOLERANCE = 0.95
-
-#: Knee-search modes: adaptive bisection, or the exhaustive golden grid.
-KNEE_MODES = ("adaptive", "grid")
+from .service import (ServiceResult, ServiceSpec, _evaluate, _simulate,
+                      _sustained)
 
 #: Continuous-range searches stop doubling after this many probes (a
 #: configuration sustaining lo * 2**20 has no knee worth bracketing).
@@ -44,23 +38,17 @@ def _sweep_worker(spec: ServiceSpec) -> Dict[str, object]:
     return _simulate(spec).to_dict()
 
 
-def _sustained(result: ServiceResult, slo_ms: Optional[float],
-               max_drop_rate: float) -> bool:
-    """One shared "did this rate point hold" predicate.
-
-    Used identically by the exhaustive sweep, the adaptive search, and
-    the experiments, so every path agrees on what a knee is: drop rate
-    under ``max_drop_rate``, every admitted request completed, goodput
-    within :data:`GOODPUT_TOLERANCE` of offered load, and — when an SLO
-    applies — aggregate p99 under it.
-    """
-    ok = (result.drop_rate <= max_drop_rate
-          and result.completed == result.admitted
-          and result.goodput_rps >= GOODPUT_TOLERANCE * result.offered_rps)
-    if ok and slo_ms is not None:
-        p99 = result.latency_us.get("p99")
-        ok = p99 is not None and p99 <= slo_ms * 1000.0
-    return ok
+def _verdict(slo_ms: Optional[float], best: Optional[ServiceResult],
+             knee_rps: Optional[float]) -> Dict[str, Optional[float]]:
+    """The knee verdict both :class:`ServiceSweep` and
+    :class:`KneeSearch` report."""
+    return {
+        "slo_ms": slo_ms,
+        "max_sustainable_rps": best.rate_rps if best else None,
+        "goodput_rps": best.goodput_rps if best else None,
+        "p99_us": best.latency_us.get("p99") if best else None,
+        "knee_rps": knee_rps,
+    }
 
 
 @dataclass
@@ -97,13 +85,7 @@ class ServiceSweep:
                 knee_rps = result.rate_rps
                 break
             best = result
-        return {
-            "slo_ms": slo,
-            "max_sustainable_rps": best.rate_rps if best else None,
-            "goodput_rps": best.goodput_rps if best else None,
-            "p99_us": best.latency_us.get("p99") if best else None,
-            "knee_rps": knee_rps,
-        }
+        return _verdict(slo, best, knee_rps)
 
     def table(self) -> str:
         """One aligned row per rate point (for EXPERIMENTS.md)."""
@@ -143,35 +125,22 @@ def sweep_offered_load(spec: ServiceSpec, rates: Sequence[float], *,
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
-    points = [spec.at_rate(rate) for rate in rates]
-    results: List[Optional[ServiceResult]] = [None] * len(points)
+
+    def simulate(misses: List[ServiceSpec]) -> List[ServiceResult]:
+        if len(misses) < 2 or (parallel == 1 and pool is None):
+            return [_simulate(point) for point in misses]
+        workers = pool
+        if workers is None:
+            from ..runner.pool import shared_pool
+            workers = shared_pool(min(parallel, len(misses)), start_method)
+        return [ServiceResult.from_dict(payload)
+                for payload in workers.map(_sweep_worker, misses)]
 
     from ..runner.cache import resolve_cache
-    store = resolve_cache(cache)
-    pending = []
-    for index, point in enumerate(points):
-        payload = store.get_json(service_key(point)) if store is not None \
-            else None
-        if payload is not None:
-            results[index] = ServiceResult.from_dict(payload)
-        else:
-            pending.append(index)
-
-    if pending and (parallel > 1 or pool is not None) and len(pending) > 1:
-        if pool is None:
-            from ..runner.pool import shared_pool
-            pool = shared_pool(min(parallel, len(pending)), start_method)
-        payloads = pool.map(_sweep_worker, [points[i] for i in pending])
-        for index, payload in zip(pending, payloads):
-            results[index] = ServiceResult.from_dict(payload)
-            if store is not None:
-                store.put_json(service_key(points[index]), payload,
-                               meta={"label": points[index].label})
-    else:
-        for index in pending:
-            results[index] = serve(points[index], cache=store)
-
-    return ServiceSweep(spec=spec, results=list(results))
+    evaluated = _evaluate([spec.at_rate(rate) for rate in rates],
+                          resolve_cache(cache), simulate)
+    return ServiceSweep(spec=spec,
+                        results=[result for result, _ in evaluated])
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +157,6 @@ class KneeSearch:
     """
 
     spec: ServiceSpec
-    mode: str
     slo_ms: Optional[float]
     max_drop_rate: float
     results: List[ServiceResult] = field(default_factory=list)
@@ -205,16 +173,8 @@ class KneeSearch:
     def knee(self) -> Dict[str, Optional[float]]:
         """The knee verdict, in :meth:`ServiceSweep.knee`'s vocabulary
         plus the search's cost accounting."""
-        return {
-            "slo_ms": self.slo_ms,
-            "max_sustainable_rps": self.best.rate_rps if self.best else None,
-            "goodput_rps": self.best.goodput_rps if self.best else None,
-            "p99_us": (self.best.latency_us.get("p99")
-                       if self.best else None),
-            "knee_rps": self.knee_rps,
-            "sims": self.sims,
-            "evaluations": self.evaluations,
-        }
+        return {**_verdict(self.slo_ms, self.best, self.knee_rps),
+                "sims": self.sims, "evaluations": self.evaluations}
 
     def sweep(self) -> ServiceSweep:
         """The probed points as a :class:`ServiceSweep` (for tables)."""
@@ -227,7 +187,6 @@ def find_knee(spec: ServiceSpec,
               rates: Optional[Sequence[float]] = None, *,
               lo: Optional[float] = None, hi: Optional[float] = None,
               resolution: Optional[float] = None,
-              mode: str = "adaptive",
               slo_ms: Optional[float] = None,
               max_drop_rate: float = 0.01,
               cache=None,
@@ -239,10 +198,10 @@ def find_knee(spec: ServiceSpec,
     Two search domains:
 
     * **grid** (``rates`` given) — the knee is the sustained-prefix
-      boundary of the sorted grid.  ``mode="adaptive"`` bisects the
-      boundary index (⌈log2(n+1)⌉ probes for an n-point grid, e.g. 5
-      for 16 points); ``mode="grid"`` evaluates every point — the
-      golden reference the adaptive path is tested against.  On a
+      boundary of the sorted grid, found by bisecting the boundary
+      index (⌈log2(n+1)⌉ probes for an n-point grid, e.g. 5 for 16
+      points).  ``sweep_offered_load(spec, rates).knee()`` evaluates
+      every point — the reference the search is tested against.  On a
       monotone curve both return the identical knee; on a non-monotone
       curve both honor the same prefix definition, though bisection may
       bracket a different noise-induced boundary than the full scan.
@@ -262,36 +221,25 @@ def find_knee(spec: ServiceSpec,
     Returns a :class:`KneeSearch`; ``.knee()`` has the verdict and the
     sims/evaluations accounting, ``.sweep()`` the probed points.
     """
-    if mode not in KNEE_MODES:
-        raise ValueError(f"unknown knee-search mode {mode!r}; "
-                         f"expected one of {KNEE_MODES}")
     slo = spec.slo_ms if slo_ms is None else slo_ms
-    search = KneeSearch(spec=spec, mode=mode, slo_ms=slo,
-                        max_drop_rate=max_drop_rate)
+    search = KneeSearch(spec=spec, slo_ms=slo, max_drop_rate=max_drop_rate)
     from ..runner.cache import resolve_cache
-    store = resolve_cache(cache)
+    # A synthetic curve never touches the result cache.
+    store = resolve_cache(cache) if evaluate is None else None
+    simulate = (None if evaluate is None
+                else lambda points: [evaluate(point) for point in points])
     memo: Dict[float, ServiceResult] = {}
 
     def run(rate: float) -> ServiceResult:
         result = memo.get(rate)
         if result is not None:
             return result
-        point = spec.at_rate(rate)
-        if evaluate is not None:
-            result = evaluate(point)
+        [(result, simulated)] = _evaluate([spec.at_rate(rate)], store,
+                                          simulate)
+        if simulated:
             search.sims += 1
         else:
-            payload = (store.get_json(service_key(point))
-                       if store is not None else None)
-            if payload is not None:
-                result = ServiceResult.from_dict(payload)
-                search.cache_hits += 1
-            else:
-                result = _simulate(point)
-                search.sims += 1
-                if store is not None:
-                    store.put_json(service_key(point), result.to_dict(),
-                                   meta={"label": point.label})
+            search.cache_hits += 1
         search.evaluations += 1
         search.probes.append(rate)
         search.results.append(result)
@@ -305,31 +253,20 @@ def find_knee(spec: ServiceSpec,
         grid = sorted(set(float(rate) for rate in rates))
         if not grid:
             raise ValueError("rates must be non-empty")
-        if mode == "grid":
-            # Golden reference: evaluate everything, then apply the
-            # same prefix rule ServiceSweep.knee() uses.
-            for rate in grid:
-                run(rate)
-            for rate in grid:
-                if not held(rate):
-                    search.knee_rps = rate
-                    break
-                search.best = memo[rate]
-        else:
-            # Invariant: grid[lo_idx] sustained (or the virtual -1),
-            # grid[hi_idx] unsustained (or the virtual end) — bisection
-            # over the sustained-prefix boundary index.
-            lo_idx, hi_idx = -1, len(grid)
-            while hi_idx - lo_idx > 1:
-                mid = (lo_idx + hi_idx) // 2
-                if held(grid[mid]):
-                    lo_idx = mid
-                else:
-                    hi_idx = mid
-            if lo_idx >= 0:
-                search.best = memo[grid[lo_idx]]
-            if hi_idx < len(grid):
-                search.knee_rps = grid[hi_idx]
+        # Invariant: grid[lo_idx] sustained (or the virtual -1),
+        # grid[hi_idx] unsustained (or the virtual end) — bisection over
+        # the sustained-prefix boundary index.
+        lo_idx, hi_idx = -1, len(grid)
+        while hi_idx - lo_idx > 1:
+            mid = (lo_idx + hi_idx) // 2
+            if held(grid[mid]):
+                lo_idx = mid
+            else:
+                hi_idx = mid
+        if lo_idx >= 0:
+            search.best = memo[grid[lo_idx]]
+        if hi_idx < len(grid):
+            search.knee_rps = grid[hi_idx]
         return search
 
     # Continuous range: double until something breaks, then bisect.

@@ -5,6 +5,8 @@ import pytest
 import repro
 from repro.apps.base import BlockWork, StreamApp, finalize_case
 from repro.cluster import ClusterConfig, System
+from repro.runner.spec import APP_REGISTRY, make_spec
+from repro.sim import Environment
 
 
 class TinyApp(StreamApp):
@@ -107,3 +109,25 @@ def test_stall_fns_receive_hierarchy():
     app.run_case(ClusterConfig().with_case(False, False))
     from repro.mem import MemoryHierarchy
     assert isinstance(seen["hierarchy"], MemoryHierarchy)
+
+
+#: Small-but-real scale per registered System app.
+SMALL_SCALES = {"grep": 0.05, "select": 1 / 128, "hashjoin": 1 / 128,
+                "mpeg": 0.1, "tar": 0.1, "sort": 1 / 512, "md5": 0.25}
+
+
+@pytest.mark.parametrize("name", sorted(set(APP_REGISTRY) - {"reduce"}))
+def test_every_system_app_registers_its_failure_context(name, monkeypatch):
+    # A wedged run's DeadlockError names the app and case only if
+    # run_case registered them on the environment.
+    recorded = []
+    original = Environment.add_context
+
+    def spy(env, **info):
+        recorded.append(info)
+        original(env, **info)
+
+    monkeypatch.setattr(Environment, "add_context", spy)
+    app = make_spec(name, scale=SMALL_SCALES[name]).build()
+    app.run_case(app.cluster_config().with_case(active=True, prefetch=True))
+    assert {"app": app.name, "config": "active+pref"} in recorded

@@ -11,6 +11,7 @@ from repro.cluster.presets import (
     get_preset,
     paper_2003,
 )
+from repro.switch.active import ActiveSwitchConfig
 
 
 def test_paper_preset_is_the_default_config():
@@ -59,6 +60,25 @@ def test_registry_complete():
     assert set(PRESETS) == {"paper_2003", "fast_fabric", "fast_storage",
                             "fast_switch_cpu", "balanced_2006", "chaos_2003",
                             "failstop_2003", "service_2003"}
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("name", sorted(
+    name for name in PRESETS
+    if get_preset(name).active_switch != ActiveSwitchConfig()))
+def test_switch_cpu_count_keeps_the_presets_switch(name, cpus):
+    # Selecting a case with more switch CPUs than the preset's switch
+    # has must change only the CPU count: clock and crossbar stay.
+    from repro.runner import Cell, cell_config, make_spec
+    preset = get_preset(name).active_switch
+    spec = make_spec("md5", scale=1 / 64, num_switch_cpus=cpus, preset=name)
+    for case in ("active", "active+pref"):
+        switch = cell_config(Cell(spec=spec, case=case)).active_switch
+        assert switch.num_cpus == cpus
+        assert switch.cpu_freq_hz == preset.cpu_freq_hz
+        assert (switch.crossbar_bandwidth_bytes_per_s
+                == preset.crossbar_bandwidth_bytes_per_s)
+
 
 
 def test_presets_build_working_systems():

@@ -1,22 +1,18 @@
 """Template caches: warm (cache-shared) runs equal cold builds, bit for bit.
 
 The caches in :mod:`repro.cluster.template` share config-pure
-construction — built apps, system templates, fabric hop walks,
-placement plans — across rate points, cases, and bench repeats.  Their
-safety contract is proven here: a run through a warm cache is
-bit-identical to a cold build for every registered application (the CI
-matrix reruns this file on the per-block reference path, covering both
-simulator paths), and every cached value that is mutable comes back as
-an independent copy.
+construction — built apps and fabric hop walks — across rate points,
+cases, and bench repeats.  Their safety contract is proven here: a run
+through a warm cache is bit-identical to a cold build for every
+registered application, and every cached value that is mutable comes
+back as an independent copy.
 """
 
 import pytest
 
 from repro.cluster.fabric import TopologySpec, build_fabric
-from repro.cluster.placement import plan_placement
 from repro.cluster.template import (cached_app, cached_service_app,
                                     clear_templates, client_hops,
-                                    placement_plan, system_template,
                                     template_stats, _APP_CACHE_MAX)
 from repro.runner.cache import encode_case
 from repro.runner.harness import Cell, run_cell
@@ -44,7 +40,7 @@ def cold_caches():
 
 
 # ----------------------------------------------------------------------
-# Bit-identity: warm == cold, every app, both datapaths (via CI matrix)
+# Bit-identity: warm == cold, every app
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(APP_REGISTRY))
 def test_closed_loop_warm_run_equals_cold_build(name):
@@ -67,7 +63,6 @@ def test_service_warm_run_equals_cold_build(topology, hosts):
     assert warm == cold
     stats = template_stats()
     assert stats["app_hits"] >= 1
-    assert stats["system_hits"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -93,23 +88,6 @@ def test_cached_service_app_folds_rate_points_together():
     assert again is app
 
 
-def test_system_template_is_cached_and_value_pure():
-    from repro.cluster import ClusterConfig, System
-
-    config = ClusterConfig()
-    template = system_template(config)
-    assert system_template(ClusterConfig()) is template
-    assert template.switch_config.num_ports >= (config.num_hosts
-                                                + config.num_storage)
-    direct = System(config)
-    templated = System(config, template=template)
-    assert [h.name for h in templated.hosts] == \
-        [h.name for h in direct.hosts]
-    assert [s.name for s in templated.storage_nodes] == \
-        [s.name for s in direct.storage_nodes]
-    assert templated.switch.config == direct.switch.config
-
-
 def test_client_hops_match_a_direct_fabric_walk():
     kind, hosts = "fat_tree", 8
     fabric = build_fabric(Environment(), TopologySpec(kind=kind,
@@ -125,25 +103,9 @@ def test_client_hops_returns_an_independent_list():
     assert template_stats()["hops_hits"] >= 1
 
 
-def test_placement_plan_is_cached_and_copied():
-    fabric = build_fabric(Environment(),
-                          TopologySpec(kind="tree", num_hosts=16))
-    direct = plan_placement(fabric, "per_level")
-    plan = placement_plan(fabric, "per_level")
-    assert plan == direct
-    # The cached value comes back as an independent copy: corrupting
-    # one caller's plan must not leak into the next.
-    victim = next(iter(plan.placements))
-    plan.placements.pop(victim)
-    again = placement_plan(fabric, "per_level")
-    assert victim in again.placements
-    assert template_stats()["plan_hits"] >= 1
-
-
 def test_clear_templates_empties_everything():
     cached_app(small_spec("select"))
     client_hops("fat_tree", 8)
     clear_templates()
     stats = template_stats()
-    assert stats["apps"] == stats["hops"] == stats["plans"] == \
-        stats["systems"] == 0
+    assert stats["apps"] == stats["hops"] == 0

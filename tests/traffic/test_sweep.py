@@ -1,8 +1,9 @@
-"""Adaptive knee search vs the exhaustive grid (``find_knee``).
+"""Adaptive knee search vs the exhaustive sweep (``find_knee``).
 
 The contract under test: on any monotone curve the adaptive bisection
-returns the *same* knee as the exhaustive golden grid while running at
-most ⌈log2(n+1)⌉ simulations for an n-point grid; the sustained-prefix
+returns the *same* knee as the exhaustive reference — every rate point
+evaluated, then ``ServiceSweep.knee()`` — while running at most
+⌈log2(n+1)⌉ simulations for an n-point grid; the sustained-prefix
 definition makes non-monotone (noisy) curves report the first break,
 never a sustained point beyond it; and a warm result cache makes a
 repeated search cost zero new simulations.
@@ -14,16 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.traffic import (GOODPUT_TOLERANCE, KNEE_MODES, KneeSearch,
-                           ServiceResult, ServiceSpec, ServiceSweep,
-                           find_knee)
+from repro.traffic import (GOODPUT_TOLERANCE, KneeSearch, ServiceResult,
+                           ServiceSpec, ServiceSweep, find_knee,
+                           sweep_offered_load)
 
 #: Same small-but-real configuration the service tests use.
 FAST = dict(app="grep", case="active", rate_rps=4000.0, duration_s=0.01,
             num_streams=8, num_keys=32, depth=16, workers=4, seed=5,
             slo_ms=5.0)
 
-#: Counter keys excluded when comparing knee verdicts across modes.
+#: Counter keys excluded when comparing a search's verdict with a sweep's.
 COUNTERS = ("sims", "evaluations")
 
 
@@ -84,8 +85,18 @@ def test_knee_when_everything_holds_or_breaks():
     assert broke.knee()["max_sustainable_rps"] is None
 
 
+def test_meets_slo_agrees_with_the_knee():
+    # Completion and p99 hold, but goodput trails offered load: the
+    # knee search names this point the knee, so it does not meet its SLO.
+    broke = synthetic(1000.0, False)
+    sweep = ServiceSweep(spec=ServiceSpec(**FAST), results=[broke])
+    assert sweep.knee()["knee_rps"] == 1000.0
+    assert broke.meets_slo() is False
+    assert synthetic(1000.0, True).meets_slo() is True
+
+
 # ----------------------------------------------------------------------
-# find_knee on grids: adaptive == golden grid, at O(log) cost
+# find_knee on grids: adaptive == exhaustive sweep, at O(log) cost
 # ----------------------------------------------------------------------
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(min_value=1, max_value=24),
@@ -98,20 +109,19 @@ def test_adaptive_matches_grid_on_any_monotone_curve(n, boundary):
     cut = min(boundary, n)
     curve = monotone(rates[cut] if cut < n else rates[-1] + 1.0)
     spec = ServiceSpec(**FAST)
-    grid = find_knee(spec, rates, mode="grid", evaluate=curve)
-    adaptive = find_knee(spec, rates, mode="adaptive", evaluate=curve)
-    assert verdict(adaptive) == verdict(grid)
-    assert grid.sims == n
+    oracle = ServiceSweep(spec, [curve(spec.at_rate(r)) for r in rates])
+    adaptive = find_knee(spec, rates, evaluate=curve)
+    assert verdict(adaptive) == oracle.knee()
     assert adaptive.sims <= math.ceil(math.log2(n + 1))
 
 
 def test_adaptive_matches_grid_on_a_real_simulation():
     spec = ServiceSpec(**{**FAST, "slo_ms": 1.0})
     rates = (1000.0, 2000.0, 4000.0, 8000.0)
-    grid = find_knee(spec, rates, mode="grid")
-    adaptive = find_knee(spec, rates, mode="adaptive")
-    assert verdict(adaptive) == verdict(grid)
-    assert grid.sims == len(rates)
+    exhaustive = sweep_offered_load(spec, rates)
+    adaptive = find_knee(spec, rates)
+    assert verdict(adaptive) == exhaustive.knee()
+    assert exhaustive.rates() == list(rates)
     assert adaptive.sims <= 3  # ceil(log2(5))
 
 
@@ -143,8 +153,6 @@ def test_grid_points_are_reusable_by_full_sweeps(tmp_path):
     # The adaptive search and sweep_offered_load share cache keys: a
     # sweep over the probed rates costs only the points the search
     # skipped.
-    from repro.traffic import sweep_offered_load
-
     spec = ServiceSpec(**FAST)
     rates = (1000.0, 2000.0)
     search = find_knee(spec, rates, cache=tmp_path)
@@ -183,9 +191,6 @@ def test_continuous_search_immediate_break_and_hi_cap():
 # ----------------------------------------------------------------------
 def test_find_knee_validation():
     spec = ServiceSpec(**FAST)
-    assert set(KNEE_MODES) == {"adaptive", "grid"}
-    with pytest.raises(ValueError, match="mode"):
-        find_knee(spec, (1000.0,), mode="turbo")
     with pytest.raises(ValueError, match="non-empty"):
         find_knee(spec, ())
     with pytest.raises(ValueError, match="lo must be positive"):
