@@ -40,7 +40,9 @@ def host_mediated_copy(total_bytes: int, request_bytes: int = 256 * 1024):
             # Write request: OS cost again, then push to storage1.
             yield from host.os_request(arrival.nbytes)
             host.hca.account_bulk_out(arrival.nbytes)
-            yield from dst.serve_write(arrival.offset, arrival.nbytes)
+            done = dst.serve_write_burst(env.now, arrival.offset,
+                                         arrival.nbytes)
+            yield env.timeout(done - env.now)
             yield from stream.done_with(arrival)
 
     proc = env.process(copier(env), name="host-copy")
@@ -65,8 +67,10 @@ def switch_directed_copy(total_bytes: int, request_bytes: int = 256 * 1024):
             arrival = yield from stream.next_block()
             # The handler only redirects buffers: trivial CPU cost.
             yield from system.process_on_switch(
-                cycles=60, stall_ps=0, arrival_end_event=arrival.end_event)
-            yield from dst.serve_write(arrival.offset, arrival.nbytes)
+                cycles=60, stall_ps=0, arrival_end_ps=arrival.end_ps)
+            done = dst.serve_write_burst(env.now, arrival.offset,
+                                         arrival.nbytes)
+            yield env.timeout(done - env.now)
             yield from stream.done_with(arrival)
 
     proc = env.process(copier(env), name="switch-copy")

@@ -243,13 +243,12 @@ class StreamApp(SystemApp):
             # the prefetch depth only bounds outstanding *disk* requests.
             for index, work in enumerate(self.blocks):
                 arrival = yield from stream.next_block()
-                cpu_peek = system.switch_cpu_peek()
+                cpu_peek = system.switch_cpu_peek_at(env.now)
                 stall = sampler.stall("handler", index,
                                       work.handler_stall_fn,
                                       cpu_peek.hierarchy)
                 yield from system.process_on_switch(
                     work.handler_cycles, stall,
-                    arrival_end_event=arrival.end_event,
                     arrival_end_ps=arrival.end_ps)
                 if work.out_bytes > 0:
                     yield from system.switch_to_host_bulk(host, work.out_bytes)

@@ -164,7 +164,6 @@ class SortApp(SystemApp):
             nrecords = sum(counts)
             yield from system.process_on_switch(
                 nrecords * SWITCH_ROUTE_CYCLES_PER_RECORD, 0,
-                arrival_end_event=arrival.end_event,
                 arrival_end_ps=arrival.end_ps)
             for dst, count in enumerate(counts):
                 if count == 0:

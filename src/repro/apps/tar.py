@@ -199,7 +199,6 @@ class TarApp(SystemApp):
                 arrival = yield from stream.next_block()
                 yield from system.process_on_switch(
                     SWITCH_REDIRECT_CYCLES_PER_BLOCK, 0,
-                    arrival_end_event=arrival.end_event,
                     arrival_end_ps=arrival.end_ps)
                 yield from system.switch_to_remote_bulk(remote.name,
                                                         arrival.nbytes)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..cpu.host import HOST_FREQ_HZ, HostCPU
-from ..io.disk import DiskArray, replay
+from ..io.disk import DiskArray
 from ..io.os_model import OsCostModel
 from ..io.scsi import ScsiBus
 from ..io.tca import TCA
@@ -103,23 +103,6 @@ class StorageNode:
                                          offset, nbytes)
         self.tca.traffic.bytes_in += nbytes
         return done
-
-    def serve_read(self, offset: int, nbytes: int, started=None):
-        """Read ``nbytes`` sequentially and push them onto the SAN;
-        completes when the last byte has left the storage node.
-
-        The event-driven face of :meth:`serve_read_burst`: ``started``
-        fires when data begins flowing.
-        """
-        started_ps, done_ps = self.serve_read_burst(self.env.now, offset,
-                                                    nbytes)
-        yield from replay(self.env, started_ps, done_ps, started)
-
-    def serve_write(self, offset: int, nbytes: int):
-        """Accept ``nbytes`` from the SAN and commit them to disk (the
-        event-driven face of :meth:`serve_write_burst`)."""
-        done_ps = self.serve_write_burst(self.env.now, offset, nbytes)
-        yield from replay(self.env, done_ps, done_ps)
 
     def __repr__(self) -> str:
         return f"<StorageNode {self.name}>"

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 import heapq
-from collections import deque
 from dataclasses import replace
 
 from ..cpu.accounting import charge
@@ -83,14 +82,10 @@ class System:
 
         #: Block-level pool of embedded CPUs (active systems only): a
         #: ``(free_at_ps, seq, cpu)`` min-heap, popped/pushed by
-        #: :meth:`process_on_switch`.  Popping the earliest-free entry
-        #: grants CPUs FIFO, earliest-freed first.  The heap only goes
-        #: empty while an event-waiting caller holds a CPU across a real
-        #: yield; ``_cpu_waiters`` queues arrivals in FIFO order for
-        #: that window.
+        #: :meth:`process_on_switch_at`.  Popping the earliest-free
+        #: entry grants CPUs FIFO, earliest-freed first.
         self._cpu_ready = None
         self._cpu_seq = 0
-        self._cpu_waiters = deque()
         if config.active:
             self._cpu_ready = [(0, i, cpu)
                                for i, cpu in enumerate(self.switch.cpus)]
@@ -333,18 +328,25 @@ class System:
     # Bulk movement helpers
     # ------------------------------------------------------------------
     def switch_to_host_bulk(self, host: ComputeNode, nbytes: int):
-        """Handler output streaming from the switch into host memory.
+        """Handler output streaming from the switch into host memory:
+        :meth:`switch_to_host_bulk_at` now, then sleep to the release."""
+        now = self.env.now
+        end = self.switch_to_host_bulk_at(host, nbytes, now)
+        if end > now:
+            yield self.env.timeout(end - now)
 
-        Holds the host's downlink for the wire occupancy and accounts
-        the bytes as host I/O traffic.
-        """
+    def switch_to_host_bulk_at(self, host: ComputeNode, nbytes: int,
+                               ready_ps: int) -> int:
+        """Reserve the host's downlink for ``nbytes`` from ``ready_ps``
+        and account the bytes as host I/O traffic; returns the release
+        time."""
         if nbytes <= 0:
-            return
-            yield  # pragma: no cover
+            return ready_ps
         _, from_switch = self._links[host.name]
-        yield from self._hold_wires((from_switch,),
-                                    from_switch.occupancy_ps(nbytes))
+        end = self._reserve_wires((from_switch,), ready_ps,
+                                  from_switch.occupancy_ps(nbytes))
         host.hca.account_bulk_in(nbytes)
+        return end
 
     def host_to_host_bulk(self, src: ComputeNode, dst: ComputeNode,
                           nbytes: int):
@@ -355,14 +357,15 @@ class System:
         """
         if nbytes <= 0:
             return
-            yield  # pragma: no cover
         to_switch, _ = self._links[src.name]
         _, from_switch = self._links[dst.name]
         hold_ps = (to_switch.occupancy_ps(nbytes)
                    + self.config.switch.routing_latency_ps)
-        yield from self._hold_wires((to_switch, from_switch), hold_ps)
+        now = self.env.now
+        end = self._reserve_wires((to_switch, from_switch), now, hold_ps)
         src.hca.account_bulk_out(nbytes)
         dst.hca.account_bulk_in(nbytes)
+        yield self.env.timeout(end - now)
 
     def switch_to_remote_bulk(self, dst_name: str, nbytes: int):
         """Handler output streamed to an arbitrary node (Tar's archive).
@@ -372,20 +375,26 @@ class System:
         """
         if nbytes <= 0:
             return
-            yield  # pragma: no cover
         _, from_switch = self._links[dst_name]
-        yield from self._hold_wires((from_switch,),
-                                    from_switch.occupancy_ps(nbytes))
+        now = self.env.now
+        end = self._reserve_wires((from_switch,), now,
+                                  from_switch.occupancy_ps(nbytes))
+        yield self.env.timeout(end - now)
 
     @staticmethod
     def _reserve_wires(links, ready_ps: int, hold_ps: int):
         """Bulk wire arbitration: reserve ``links`` jointly for
         ``hold_ps`` from the later of ``ready_ps`` and their common free
-        time; returns the ``(grant, release)`` times.
+        time; returns the release time.
 
         Callers arrive in nondecreasing ``ready_ps`` order, so the
         scalar free-at state grants FIFO.  Bulk holds never touch
         ``link.busy``: link utilization is a packet-path figure.
+
+        The bulk generators reserve at ``env.now`` and sleep straight to
+        the release, so two holds that release in the same picosecond
+        complete in call order — also when a later caller was granted
+        at once and an earlier one had to wait.
         """
         start = ready_ps
         for link in links:
@@ -394,105 +403,61 @@ class System:
         end = start + hold_ps
         for link in links:
             link.bulk_free_ps = end
-        return start, end
-
-    def _hold_wires(self, links, hold_ps: int):
-        """Hold ``links`` from now (see :meth:`_reserve_wires`);
-        completes at the release.
-
-        Sleeps to the grant *first* and only then schedules the
-        occupancy as its own timeout: two transfers releasing at the
-        same picosecond are then processed in grant order — a single
-        call-time timeout would invert that order and shift downstream
-        FIFO queues.
-        """
-        start, end = self._reserve_wires(links, self.env.now, hold_ps)
-        if start > self.env.now:
-            yield self.env.timeout(start - self.env.now)
-        yield self.env.timeout(end - self.env.now)
+        return end
 
     # ------------------------------------------------------------------
     # Block-level handler execution
     # ------------------------------------------------------------------
-    def switch_cpu_peek(self):
-        """The CPU the next :meth:`process_on_switch` call would grant.
+    def switch_cpu_peek_at(self, now_ps: int):
+        """The CPU a :meth:`process_on_switch_at` call at ``now_ps``
+        would grant: the earliest-free pool entry if it is free by
+        then, else cpu 0.
 
         Apps pre-evaluate a block's handler cache stalls on the CPU
-        that will run it: the earliest-free pool entry if it is free
-        now, else cpu 0.
+        that will run it; the open-loop service worker does so before
+        it has advanced the clock to the dispatch time.
         """
         if self._cpu_ready is None:
-            raise RuntimeError("switch_cpu_peek requires an active system")
-        return self.switch_cpu_peek_at(self.env.now)
-
-    def switch_cpu_peek_at(self, now_ps: int):
-        """:meth:`switch_cpu_peek` at an explicit instant.
-
-        The open-loop service worker evaluates a request's handler
-        stalls before it has advanced the clock to the dispatch time;
-        passing that time keeps the peek identical to what a caller
-        arriving then would see.
-        """
-        if not self._cpu_ready:
-            return self.switch.cpus[0]
+            raise RuntimeError("switch_cpu_peek_at requires an active system")
         ready_ps, _, cpu = self._cpu_ready[0]
         return cpu if ready_ps <= now_ps else self.switch.cpus[0]
 
-    def _cpu_pop(self):
-        """Claim the earliest-free pool entry, queueing FIFO while an
-        event-waiting caller has the heap drained."""
-        while not self._cpu_ready:
-            waiter = self.env.event()
-            self._cpu_waiters.append(waiter)
-            yield waiter
-        return heapq.heappop(self._cpu_ready)
-
-    def _cpu_push(self, free_at_ps: int, cpu) -> None:
-        self._cpu_seq += 1
-        heapq.heappush(self._cpu_ready, (free_at_ps, self._cpu_seq, cpu))
-        if self._cpu_waiters:
-            self._cpu_waiters.popleft().succeed()
-
     def process_on_switch(self, cycles: float, stall_ps: int,
-                          arrival_end_event=None, arrival_end_ps=None):
-        """Run one block's worth of handler work on a free switch CPU.
+                          arrival_end_ps=None):
+        """Run one block's worth of handler work on a free switch CPU:
+        :meth:`process_on_switch_at` now, then sleep to its completion."""
+        now = self.env.now
+        done = self.process_on_switch_at(now, cycles, stall_ps,
+                                         arrival_end_ps)
+        if done > now:
+            yield self.env.timeout(done - now)
+
+    def process_on_switch_at(self, ready_ps: int, cycles: float,
+                             stall_ps: int, arrival_end_ps=None) -> int:
+        """Price one block's handler work on the switch-CPU pool;
+        returns the completion time.
 
         The handler computes while the block streams in (valid-bit
-        overlap): completion is ``max(compute done, arrival done)``.
-        Waiting for data beyond the compute time is charged as switch
-        CPU stall (stalled on invalid buffer lines).  With
-        ``cut_through=False`` (the store-and-forward ablation) the
-        handler may not start until the whole block is in.
+        overlap): completion is ``max(compute done, arrival done)``,
+        where ``arrival_end_ps`` is when the block's last byte lands
+        (from :class:`~repro.cluster.BlockArrival`; ``None`` when the
+        data is already in).  Waiting for data beyond the compute time
+        is charged as switch CPU stall (stalled on invalid buffer
+        lines).  With ``cut_through=False`` (the store-and-forward
+        ablation) the handler may not start until the whole block is
+        in.
 
-        Pops the earliest-free CPU at call time — the pool's FIFO:
-        waiters are assigned CPUs in arrival order, earliest-freed
-        first.  When the arrival completion time is known
-        (``arrival_end_ps``, from :class:`~repro.cluster.BlockArrival`)
-        the whole body is analytic — one timeout.  A caller that only
-        has the completion *event* shares the same pool state; it
-        walks to the grant time and waits on the event for real.
+        Pops the earliest-free CPU — the pool's FIFO: callers are
+        assigned CPUs in call order, earliest-freed first.  Callers
+        must issue in nondecreasing ``ready_ps`` order: DES callers
+        price at ``env.now``, and the service pipeline's post/storage
+        stages are FIFO, so its dispatch order is completion order.
         """
         if self._cpu_ready is None:
             raise RuntimeError("process_on_switch requires an active system")
-        ready_ps, _, cpu = yield from self._cpu_pop()
-        now = self.env.now
+        free_ps, _, cpu = heapq.heappop(self._cpu_ready)
         acct = cpu.accounting
-        if arrival_end_ps is None and arrival_end_event is not None:
-            if ready_ps > now:
-                yield self.env.timeout(ready_ps - now)
-            if not self.config.cut_through \
-                    and not arrival_end_event.processed:
-                wait_start = self.env.now
-                yield arrival_end_event
-                acct.add_stall(self.env.now - wait_start)
-            yield from cpu.work(busy_cycles=cycles, stall_ps=stall_ps)
-            if not arrival_end_event.processed:
-                wait_start = self.env.now
-                yield arrival_end_event
-                acct.add_stall(self.env.now - wait_start)
-            self._cpu_push(self.env.now, cpu)
-            return cpu
-        t = now if now > ready_ps else ready_ps
+        t = ready_ps if ready_ps > free_ps else free_ps
         if not self.config.cut_through and arrival_end_ps is not None \
                 and arrival_end_ps > t:
             acct.add_stall(arrival_end_ps - t)
@@ -501,45 +466,9 @@ class System:
         if arrival_end_ps is not None and arrival_end_ps > t:
             acct.add_stall(arrival_end_ps - t)
             t = arrival_end_ps
-        self._cpu_push(t, cpu)
-        if t > now:
-            yield self.env.timeout(t - now)
-        return cpu
-
-    def process_on_switch_at(self, ready_ps: int, cycles: float,
-                             stall_ps: int) -> int:
-        """Analytic handler dispatch at an explicit ready time.
-
-        The zero-yield twin of :meth:`process_on_switch` for callers
-        (the service worker) that know when the block is ready before
-        the clock gets there.  Callers must issue in nondecreasing
-        ``ready_ps`` order — the service pipeline's post/storage stages
-        are FIFO, so dispatch order is completion order and the pool
-        grants exactly as a staged walk would.  Returns the completion
-        time.
-        """
-        free_ps, _, cpu = heapq.heappop(self._cpu_ready)
-        t = charge(cpu, ready_ps if ready_ps > free_ps else free_ps,
-                   cpu.clock.cycles(cycles), stall_ps)
-        self._cpu_push(t, cpu)
+        self._cpu_seq += 1
+        heapq.heappush(self._cpu_ready, (t, self._cpu_seq, cpu))
         return t
-
-    def switch_to_host_bulk_at(self, host: ComputeNode, nbytes: int,
-                               ready_ps: int) -> int:
-        """Analytic twin of :meth:`switch_to_host_bulk` at an explicit
-        ready time; returns the downlink release time.
-
-        Single-wire reservations grant in call order, so a caller that
-        sleeps straight to the returned release sees the same FIFO the
-        staged grant-then-hold pair produces.
-        """
-        if nbytes <= 0:
-            return ready_ps
-        _, from_switch = self._links[host.name]
-        _, end = self._reserve_wires((from_switch,), ready_ps,
-                                     from_switch.occupancy_ps(nbytes))
-        host.hca.account_bulk_in(nbytes)
-        return end
 
     def __repr__(self) -> str:
         return (f"<System {self.config.case_label}: {len(self.hosts)} hosts, "

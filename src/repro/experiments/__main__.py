@@ -20,7 +20,12 @@ import json
 import sys
 import time
 
-from ..metrics.report import comparison_table, performance_table, breakdown_table
+from ..metrics.report import (
+    breakdown_table,
+    comparison_table,
+    performance_table,
+    rows_table,
+)
 from ..metrics.results import BenchmarkResult
 from .registry import all_experiments, compare, get
 
@@ -53,12 +58,7 @@ def run_one(experiment, scale=None, collect=None) -> str:
             sections.append(f"-- variant {key} --")
             sections.append(performance_table(sub))
     elif isinstance(result, list) and result and isinstance(result[0], dict):
-        header = "  ".join(f"{k:>12}" for k in result[0])
-        rows = "\n".join(
-            "  ".join(f"{row[k]:12.3f}" if isinstance(row[k], float)
-                      else f"{row[k]:>12}" for k in row)
-            for row in result)
-        sections.append(header + "\n" + rows)
+        sections.append(rows_table(result))
     sections.append(comparison_table(experiment.experiment_id,
                                      compare(experiment, result)))
     if experiment.notes:

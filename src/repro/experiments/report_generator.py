@@ -18,6 +18,7 @@ from ..metrics.report import (
     comparison_table,
     performance_bars,
     performance_table,
+    rows_table,
 )
 from ..metrics.results import BenchmarkResult
 from .registry import all_experiments, compare
@@ -35,15 +36,7 @@ def _render_result(experiment, result) -> str:
             parts.append(f"**Variant {key}:**")
             parts.append("```\n" + performance_table(sub) + "\n```")
     elif isinstance(result, list) and result and isinstance(result[0], dict):
-        keys = list(result[0])
-        header = "| " + " | ".join(str(k) for k in keys) + " |"
-        divider = "|" + "|".join("---" for _ in keys) + "|"
-        body = "\n".join(
-            "| " + " | ".join(
-                f"{row[k]:.3f}" if isinstance(row[k], float) else str(row[k])
-                for k in keys) + " |"
-            for row in result)
-        parts.append("\n".join([header, divider, body]))
+        parts.append(rows_table(result, markdown=True))
     parts.append("```\n"
                  + comparison_table(experiment.experiment_id,
                                     compare(experiment, result))

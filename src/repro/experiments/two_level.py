@@ -76,12 +76,13 @@ def _scan(system, total_bytes: int, request_bytes: int,
                            else PREFILTER_PASS)
             for index in range(num_blocks):
                 yield from host.active_request()
-                yield env.timeout(system.request_path_ps())
                 out_bytes = int(request_bytes * device_pass)
-                yield from storage.serve_filtered_read(
+                done = storage.serve_filtered_read_burst(
+                    env.now + system.request_path_ps(),
                     index * request_bytes, request_bytes,
                     filter_cycles=per_block_records * DEVICE_FILTER_CYCLES,
                     out_bytes=out_bytes)
+                yield env.timeout(done - env.now)
                 if placement == "two-level":
                     # The switch applies the precise predicate to the
                     # pre-filtered stream.
@@ -106,7 +107,7 @@ def _scan(system, total_bytes: int, request_bytes: int,
             if to_switch:
                 yield from system.process_on_switch(
                     cycles=per_block_records * SWITCH_FILTER_CYCLES,
-                    stall_ps=0, arrival_end_event=arrival.end_event)
+                    stall_ps=0, arrival_end_ps=arrival.end_ps)
                 yield from system.switch_to_host_bulk(
                     host, int(arrival.nbytes * PASS_FRACTION))
             else:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cluster.node import StorageNode
+from ..cpu.accounting import charge
 from ..cpu.switch_cpu import SwitchCPU
 from ..sim.core import Environment
 from ..sim.units import Clock
@@ -49,8 +50,8 @@ class ActiveStorageNode(StorageNode):
     """A storage target with an embedded filtering processor.
 
     Keeps :class:`repro.cluster.node.StorageNode`'s interface
-    (``serve_read`` / ``serve_write``) and adds
-    :meth:`serve_filtered_read`.
+    (``serve_read_burst`` / ``serve_write_burst``) and adds
+    :meth:`serve_filtered_read_burst`.
     """
 
     def __init__(self, env: Environment, name: str, cluster_config,
@@ -66,39 +67,35 @@ class ActiveStorageNode(StorageNode):
     # ------------------------------------------------------------------
     # Device-side filtering
     # ------------------------------------------------------------------
-    def serve_filtered_read(self, offset: int, nbytes: int,
-                            filter_cycles: float, out_bytes: int,
-                            started=None):
-        """Read ``nbytes``, filter on the device CPU, ship ``out_bytes``.
+    def serve_filtered_read_burst(self, at_ps: int, offset: int,
+                                  nbytes: int, filter_cycles: float,
+                                  out_bytes: int) -> int:
+        """Schedule a filtered read arriving at the TCA at ``at_ps``:
+        read ``nbytes``, filter on the device CPU, ship ``out_bytes``.
 
         The device CPU scans records in line with the platter stream:
-        completion is ``max(disk transfer, filter compute)`` after the
-        request/positioning overheads (the same overlap structure as
-        switch handlers, minus the fabric hop).
+        both start once the request is accepted and the scan is set up,
+        and completion is ``max(filter compute, disk transfer)`` (the
+        same overlap structure as switch handlers, minus the fabric
+        hop).  Waiting for the disk beyond the compute is charged as
+        device CPU stall.  Zero kernel events, like
+        :meth:`~repro.cluster.node.StorageNode.serve_read_burst`;
+        returns ``done_ps``.
         """
         if out_bytes < 0 or out_bytes > nbytes:
             raise ValueError(
                 f"filtered output {out_bytes} outside [0, {nbytes}]")
-        yield from self.tca.process_request()
-        yield self.env.timeout(self.active_config.filter_setup_ps)
-        yield self.env.timeout(self.scsi.config.transaction_overhead_ps)
-        self.scsi.stats.transactions += 1
-        self.scsi.stats.bytes += nbytes
-
-        disk_done = self.env.process(
-            self.disks.read(offset, nbytes, started=started),
-            name=f"{self.name}-filtered-read")
-        compute_ps = self.cpu.clock.cycles(filter_cycles)
-        self.cpu.accounting.add_busy(compute_ps)
-        yield self.env.timeout(compute_ps)
-        if not disk_done.processed:
-            wait_start = self.env.now
-            yield disk_done
-            self.cpu.accounting.add_stall(self.env.now - wait_start)
-
+        start = (self._accept(at_ps, nbytes)
+                 + self.active_config.filter_setup_ps)
+        _, disk_done = self.disks.read_burst(start, offset, nbytes)
+        done = charge(self.cpu, start, self.cpu.clock.cycles(filter_cycles))
+        if disk_done > done:
+            self.cpu.accounting.add_stall(disk_done - done)
+            done = disk_done
         self.unfiltered_bytes_read += nbytes
         self.filtered_bytes_out += out_bytes
         self.tca.traffic.bytes_out += out_bytes
+        return done
 
     def __repr__(self) -> str:
         return (f"<ActiveStorageNode {self.name}: "

@@ -62,21 +62,6 @@ class DiskStats:
     retries: int = 0
 
 
-def replay(env: Environment, started_ps: int, done_ps: int, started=None):
-    """Sleep through an analytic ``(started_ps, done_ps)`` schedule.
-
-    The event-driven face of the analytic storage pipeline: ``started``,
-    if given, fires when data begins to flow; the generator completes
-    when the last byte has moved.
-    """
-    if started is not None:
-        if started_ps > env.now:
-            yield env.timeout(started_ps - env.now)
-        started.succeed()
-    if done_ps > env.now:
-        yield env.timeout(done_ps - env.now)
-
-
 class Disk:
     """One disk spindle with a single FIFO request queue (the arm).
 
@@ -135,6 +120,8 @@ class Disk:
         whole schedule is known when the request is issued, so the
         error raises then.
         """
+        if nbytes <= 0:
+            raise ValueError(f"request size must be positive, got {nbytes}")
         start = at_ps if at_ps > self._arm_free_ps else self._arm_free_ps
         stats = self.stats
         stats.requests += 1
@@ -185,29 +172,6 @@ class Disk:
                        retries=attempt)
         return data_start, done
 
-    def read(self, offset: int, nbytes: int, started=None):
-        """Read ``nbytes`` at ``offset``; generator completes when the
-        last byte leaves the platter.
-
-        ``started``, if given, is an event triggered once the head is in
-        position and data begins to flow — the moment a cut-through
-        stream's first bytes leave for the fabric.
-        """
-        if nbytes <= 0:
-            raise ValueError(f"read size must be positive, got {nbytes}")
-        started_ps, done_ps = self.access_burst(self.env.now, offset, nbytes,
-                                                write=False)
-        yield from replay(self.env, started_ps, done_ps, started)
-
-    def write(self, offset: int, nbytes: int, started=None):
-        """Write ``nbytes`` at ``offset``; same mechanics as read (the
-        paper's disk model is symmetric: position, then stream)."""
-        if nbytes <= 0:
-            raise ValueError(f"write size must be positive, got {nbytes}")
-        started_ps, done_ps = self.access_burst(self.env.now, offset, nbytes,
-                                                write=True)
-        yield from replay(self.env, started_ps, done_ps, started)
-
     def __repr__(self) -> str:
         return f"<Disk {self.name}: {self.stats.bytes_read} B read>"
 
@@ -256,18 +220,13 @@ class DiskArray:
     def bytes_read(self) -> int:
         return sum(d.stats.bytes_read for d in self.disks)
 
-    def read(self, offset: int, nbytes: int, started=None):
-        """Striped read; completes when every spindle's share is done.
-
-        ``started`` fires when the first spindle begins transferring.
-        """
-        started_ps, done_ps = self.read_burst(self.env.now, offset, nbytes)
-        yield from replay(self.env, started_ps, done_ps, started)
-
     def _access_burst(self, at_ps: int, offset: int, nbytes: int,
                       write: bool):
         """Split one logical request evenly across the spindles, which
         transfer in parallel."""
+        if nbytes <= 0:
+            raise ValueError(f"{'write' if write else 'read'} size must be "
+                             f"positive, got {nbytes}")
         share = -(-nbytes // len(self.disks))
         remaining = nbytes
         started = done = None
@@ -290,21 +249,12 @@ class DiskArray:
         Returns ``(started_ps, done_ps)``: when the first spindle's
         data begins to flow, and when the last spindle finishes.
         """
-        if nbytes <= 0:
-            raise ValueError(f"read size must be positive, got {nbytes}")
         return self._access_burst(at_ps, offset, nbytes, write=False)
 
     def write_burst(self, at_ps: int, offset: int, nbytes: int):
         """Striped write scheduled at ``at_ps``; returns
         ``(started_ps, done_ps)``."""
-        if nbytes <= 0:
-            raise ValueError(f"write size must be positive, got {nbytes}")
         return self._access_burst(at_ps, offset, nbytes, write=True)
-
-    def write(self, offset: int, nbytes: int, started=None):
-        """Striped write; completes when every spindle's share is done."""
-        started_ps, done_ps = self.write_burst(self.env.now, offset, nbytes)
-        yield from replay(self.env, started_ps, done_ps, started)
 
     @property
     def bytes_written(self) -> int:

@@ -53,8 +53,3 @@ class TCA(ChannelAdapter):
         status.update({key: value for key, value in self.reliability().items()
                        if value})
         return {f"tca:{self.node_id}": str(status)}
-
-    def process_request(self):
-        """Firmware time to accept and decode one I/O request."""
-        yield self.env.timeout(self.tca_config.request_processing_ps)
-        self.requests_processed += 1

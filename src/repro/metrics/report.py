@@ -259,6 +259,26 @@ def comparison_table(name: str,
         ["metric", "measured", "paper"], formatted)
 
 
+def rows_table(rows: Sequence[dict], markdown: bool = False) -> str:
+    """An experiment's figure rows (dicts sharing one key order).
+
+    Floats print with three decimals, every other cell with ``str()``
+    (so a ``None`` cell reads ``None``).  Plain text right-aligns each
+    cell in a 12-character column; ``markdown`` emits a pipe table.
+    """
+    keys = list(rows[0])
+    cells = [[f"{row[k]:.3f}" if isinstance(row[k], float) else str(row[k])
+              for k in keys] for row in rows]
+    if markdown:
+        lines = ["| " + " | ".join(map(str, keys)) + " |",
+                 "|" + "|".join("---" for _ in keys) + "|"]
+        lines.extend("| " + " | ".join(line) + " |" for line in cells)
+    else:
+        lines = ["  ".join(f"{k:>12}" for k in keys)]
+        lines.extend("  ".join(f"{c:>12}" for c in line) for line in cells)
+    return "\n".join(lines)
+
+
 def bar_chart(title: str, rows: Sequence[Tuple[str, float]],
               width: int = 40, ceiling: Optional[float] = None) -> str:
     """Horizontal ASCII bars — the shape of the paper's figures.

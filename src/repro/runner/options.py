@@ -101,12 +101,15 @@ def make_run_options(options: Optional[RunOptions] = None,
             raise TypeError("pass one RunOptions, not two")
         options, cases = cases, None
     if options is not None:
-        loose = {k: v for k, v in kwargs.items()
-                 if v not in (None, False, (), {})}
+        # Absence is a keyword's default, tested by identity: ``seed=0``
+        # and ``parallel=0`` equal False but were passed.
+        loose = sorted(k for k, v in kwargs.items()
+                       if not (v is None or v is False
+                               or (type(v) in (dict, tuple) and not v)))
         if cases is not None or loose:
             raise TypeError(
                 "pass parameters inside RunOptions, not alongside it "
                 f"(got extra: {['cases'] if cases is not None else []} "
-                f"{sorted(loose)})")
+                f"{loose})")
         return options
     return RunOptions(cases=cases, **kwargs)

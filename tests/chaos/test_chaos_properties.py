@@ -82,12 +82,9 @@ def test_disk_retry_conservation(read_error_rate, seed, nreq):
         read_error_rate=read_error_rate, retry_backoff_ps=1,
         max_retries=64)), seed=seed))
 
-    def reader(env):
-        for i in range(nreq):
-            yield from disk.read(i * 4096, 1024)
-
-    proc = env.process(reader(env))
-    env.run(until=proc)
+    at_ps = 0
+    for i in range(nreq):
+        _, at_ps = disk.access_burst(at_ps, i * 4096, 1024, write=False)
 
     stats = disk.stats
     # Each transient error is paid for by exactly one replay.

@@ -163,3 +163,16 @@ def test_stream_validation():
     with pytest.raises(ValueError):
         ReadStream(system, system.host, total_bytes=1, request_bytes=1,
                    request_cost="bogus")
+
+
+def test_tied_completions_wake_consumers_in_storage_order():
+    """Sort's four symmetric streams finish same-sized blocks in the
+    same picosecond.  The completion finisher wakes their consumers in
+    the storage pipeline's completion order; scheduling each
+    completion from the producer at issue time instead shifts this run
+    (to 41,244,197,148 ps).  At 0.35x the registry scale and below the
+    two orders agree, so the golden fixtures cannot tell them apart."""
+    import repro
+    result = repro.run("sort", cases=("normal+pref",), scale=1 / 128,
+                       parallel=1, cache=False)
+    assert result.cases["normal+pref"].exec_ps == 41_246_161_148

@@ -55,23 +55,11 @@ def test_storage_node_components():
 
 
 def test_serve_read_orders_overheads_before_transfer():
-    env = Environment()
-    node = StorageNode(env, "s0", ClusterConfig())
-    started_at = {}
-
-    def worker(env):
-        started = env.event()
-        done = env.process(node.serve_read(0, 1024, started=started))
-        yield started
-        started_at["flow"] = env.now
-        yield done
-        started_at["done"] = env.now
-
-    env.process(worker(env))
-    env.run()
+    node = StorageNode(Environment(), "s0", ClusterConfig())
+    flow, done = node.serve_read_burst(0, 0, 1024)
     # Data flow begins only after TCA (2 us) + SCSI (1.5 us) + positioning.
-    assert started_at["flow"] >= us(3.5)
-    assert started_at["done"] > started_at["flow"]
+    assert flow >= us(3.5)
+    assert done > flow
 
 
 def test_single_disk_configuration():

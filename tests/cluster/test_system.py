@@ -46,19 +46,19 @@ def test_normal_system_uses_base_switch():
     system = System(ClusterConfig(active=False))
     assert type(system.switch) is BaseSwitch
     with pytest.raises(RuntimeError):
-        system.switch_cpu_peek()
+        system.switch_cpu_peek_at(0)
 
 
 def test_active_system_uses_active_switch():
     system = System(ClusterConfig(active=True))
     assert isinstance(system.switch, ActiveSwitch)
-    assert system.switch_cpu_peek() is system.switch.cpus[0]
+    assert system.switch_cpu_peek_at(system.env.now) is system.switch.cpus[0]
 
 
 def test_active_system_multiple_cpus():
     system = System(ClusterConfig(num_switch_cpus=4).with_case(True, False))
     assert len(system.switch.cpus) == 4
-    assert system.switch_cpu_peek() is system.switch.cpus[0]
+    assert system.switch_cpu_peek_at(system.env.now) is system.switch.cpus[0]
 
 
 def test_system_builds_requested_nodes():
@@ -102,6 +102,8 @@ def test_process_on_switch_requires_active():
     system = System(ClusterConfig(active=False))
     with pytest.raises(RuntimeError):
         list(system.process_on_switch(100, 0))
+    with pytest.raises(RuntimeError):
+        system.process_on_switch_at(0, 100, 0)
 
 
 def test_switch_to_host_bulk_accounts_traffic():
@@ -140,25 +142,70 @@ def test_process_on_switch_charges_busy_and_returns_cpu():
     system.env.run()
     cpu = system.switch.cpus[0]
     assert cpu.accounting.busy_ps == 1000 * 2000  # 1000 cycles at 2 ns
-    assert system.switch_cpu_peek() is cpu  # returned to pool, free
+    # Returned to the pool, free again.
+    assert system.switch_cpu_peek_at(system.env.now) is cpu
 
 
 def test_process_on_switch_waits_for_arrival_as_stall():
     system = System(ClusterConfig(active=True))
     env = system.env
-    arrival_end = env.event()
-
-    def trigger(env):
-        yield env.timeout(1_000_000)
-        arrival_end.succeed()
 
     def worker(env):
         yield from system.process_on_switch(
-            cycles=100, stall_ps=0, arrival_end_event=arrival_end)
+            cycles=100, stall_ps=0, arrival_end_ps=1_000_000)
         return env.now
 
-    env.process(trigger(env))
     proc = env.process(worker(env))
     finished = env.run(until=proc)
-    assert finished >= 1_000_000
-    assert system.switch.cpus[0].accounting.stall_ps > 0
+    assert finished == 1_000_000
+    # 100 cycles at 2 ns ran while the block streamed in; the rest of
+    # the arrival was stalled on invalid buffer lines.
+    acct = system.switch.cpus[0].accounting
+    assert acct.busy_ps == 100 * 2000
+    assert acct.stall_ps == 1_000_000 - 100 * 2000
+
+
+@pytest.mark.parametrize("cut_through", [True, False])
+def test_process_on_switch_at_prices_the_arrival_overlap(cut_through):
+    """Cut-through overlaps compute with the block's arrival;
+    store-and-forward stalls until the last byte, then computes."""
+    system = System(ClusterConfig(active=True, cut_through=cut_through))
+    done = system.process_on_switch_at(
+        1000, cycles=100, stall_ps=0, arrival_end_ps=1_000_000)
+    acct = system.switch.cpus[0].accounting
+    compute = 100 * 2000
+    if cut_through:
+        assert done == 1_000_000
+    else:
+        assert done == 1_000_000 + compute
+    assert acct.busy_ps == compute
+    assert acct.stall_ps == done - 1000 - compute
+    # The pool is FIFO: the next block waits for the busy CPU.
+    assert system.process_on_switch_at(1000, 100, 0) == done + compute
+
+
+def test_bulk_holds_releasing_together_complete_in_call_order():
+    """Two downlink holds that release in the same picosecond complete
+    in call order, even though the later caller was granted first."""
+    system = System(ClusterConfig(num_hosts=3))
+    env = system.env
+    host0, host1, host2 = system.hosts
+    completed = []
+
+    def move(name, start_ps, transfer):
+        yield env.timeout(start_ps)
+        yield from transfer
+        completed.append((name, env.now))
+
+    # host0 -> host1 holds host1's downlink until 4,324,000 ps.
+    env.process(move("h0->h1", 0, system.host_to_host_bulk(
+        host0, host1, 4096)))
+    # Waits for host1's downlink, then releases at 4,852,000 ps.
+    env.process(move("sw->h1", 1, system.switch_to_host_bulk(
+        host1, 512)))
+    # Granted at once; also releases at 4,852,000 ps.
+    env.process(move("sw->h2", 3_796_000, system.switch_to_host_bulk(
+        host2, 1024)))
+    env.run()
+    assert completed == [("h0->h1", 4_324_000), ("sw->h1", 4_852_000),
+                         ("sw->h2", 4_852_000)]

@@ -93,6 +93,16 @@ def test_main_module_runs_single_experiment(capsys):
     assert "paper vs measured" in out
 
 
+def test_main_renders_rows_with_none_cells(capsys):
+    """The registry's first experiment has baseline rows whose
+    ``kill_at_us`` is None; the CLI must render them, not crash."""
+    from repro.experiments.__main__ import main
+    assert main(["ext_fabric_availability"]) == 0
+    out = capsys.readouterr().out
+    assert "kill_at_us" in out
+    assert "None" in out
+
+
 def test_main_json_output(tmp_path, capsys):
     import json
     from repro.experiments.__main__ import main

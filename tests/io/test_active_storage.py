@@ -23,65 +23,49 @@ def test_device_cpu_is_drive_class():
 
 def test_filtered_read_ships_only_survivors():
     env, node = make_node()
-
-    def reader(env):
-        yield from node.serve_filtered_read(0, 65536, filter_cycles=5000,
-                                            out_bytes=16384)
-
-    env.process(reader(env))
-    env.run()
+    done = node.serve_filtered_read_burst(0, 0, 65536, filter_cycles=5000,
+                                          out_bytes=16384)
+    assert done > 0
     assert node.unfiltered_bytes_read == 65536
     assert node.filtered_bytes_out == 16384
     assert node.tca.traffic.bytes_out == 16384
     assert node.disks.bytes_read == 65536
+    assert node.tca.requests_processed == 1
+    assert node.scsi.stats.transactions == 1
 
 
 def test_filter_overlaps_disk_stream():
     """Cheap filtering adds (almost) nothing over a plain read."""
-    env1, node1 = make_node()
+    _, node1 = make_node()
+    _, plain_time = node1.serve_read_burst(0, 0, 1_000_000)
 
-    def plain(env):
-        yield from node1.serve_read(0, 1_000_000)
-        return env.now
-
-    proc = env1.process(plain(env1))
-    plain_time = env1.run(until=proc)
-
-    env2, node2 = make_node()
-
-    def filtered(env):
-        yield from node2.serve_filtered_read(0, 1_000_000,
-                                             filter_cycles=1000,
-                                             out_bytes=250_000)
-        return env.now
-
-    proc = env2.process(filtered(env2))
-    filtered_time = env2.run(until=proc)
+    _, node2 = make_node()
+    filtered_time = node2.serve_filtered_read_burst(
+        0, 0, 1_000_000, filter_cycles=1000, out_bytes=250_000)
     assert filtered_time - plain_time < ms(0.1)
+    # The device CPU finished early and waited for the platters.
+    acct = node2.cpu.accounting
+    assert acct.busy_ps == node2.cpu.clock.cycles(1000)
+    assert acct.stall_ps > 0
 
 
 def test_slow_filter_becomes_the_bottleneck():
     """A heavy filter on the 200 MHz core dominates the disk stream."""
     env, node = make_node()
     heavy_cycles = 10_000_000  # 50 ms at 200 MHz >> 10 ms disk transfer
-
-    def reader(env):
-        yield from node.serve_filtered_read(0, 1_000_000,
-                                            filter_cycles=heavy_cycles,
-                                            out_bytes=1000)
-        return env.now
-
-    proc = env.process(reader(env))
-    elapsed = env.run(until=proc)
+    elapsed = node.serve_filtered_read_burst(0, 0, 1_000_000,
+                                             filter_cycles=heavy_cycles,
+                                             out_bytes=1000)
     assert elapsed >= ms(50)
     assert node.cpu.accounting.busy_ps >= ms(50)
+    assert node.cpu.accounting.stall_ps == 0
 
 
 def test_filtered_read_validates_output_size():
     env, node = make_node()
     with pytest.raises(ValueError):
-        list(node.serve_filtered_read(0, 1000, filter_cycles=1,
-                                      out_bytes=1001))
+        node.serve_filtered_read_burst(0, 0, 1000, filter_cycles=1,
+                                       out_bytes=1001)
 
 
 def test_config_validation():
@@ -93,13 +77,8 @@ def test_config_validation():
 
 def test_plain_read_write_match_passive_interface():
     env, node = make_node()
-
-    def worker(env):
-        yield from node.serve_read(0, 4096)
-        yield from node.serve_write(4096, 4096)
-
-    env.process(worker(env))
-    env.run()
+    _, read_done = node.serve_read_burst(0, 0, 4096)
+    node.serve_write_burst(read_done, 4096, 4096)
     assert node.tca.traffic.bytes_out == 4096
     assert node.tca.traffic.bytes_in == 4096
 

@@ -8,50 +8,29 @@ from repro.sim.units import ms, seconds
 
 
 def test_first_read_pays_positioning():
-    env = Environment()
-    disk = Disk(env, "d0")
-
-    def reader(env):
-        yield from disk.read(0, 1024)
-        return env.now
-
-    proc = env.process(reader(env))
-    elapsed = env.run(until=proc)
+    disk = Disk(Environment(), "d0")
+    started, done = disk.access_burst(0, 0, 1024, write=False)
     config = disk.config
-    expected = (config.seek_ps + config.half_rotation_ps
-                + round(1024 / config.bandwidth_bytes_per_s * 1e12))
-    assert elapsed == expected
+    positioning = config.seek_ps + config.half_rotation_ps
+    assert started == positioning
+    assert done == positioning + round(
+        1024 / config.bandwidth_bytes_per_s * 1e12)
 
 
 def test_sequential_read_skips_positioning():
-    env = Environment()
-    disk = Disk(env, "d0")
-    times = []
-
-    def reader(env):
-        yield from disk.read(0, 1024)
-        times.append(env.now)
-        yield from disk.read(1024, 1024)  # continues where we left off
-        times.append(env.now)
-
-    env.process(reader(env))
-    env.run()
-    first = times[0]
-    second_duration = times[1] - times[0]
-    assert second_duration < first  # no seek the second time
+    disk = Disk(Environment(), "d0")
+    _, first = disk.access_burst(0, 0, 1024, write=False)
+    # Continues where the first read left off.
+    started, second = disk.access_burst(first, 1024, 1024, write=False)
+    assert started == first
+    assert second - first < first  # no seek the second time
     assert disk.stats.sequential_requests == 1
 
 
 def test_random_read_pays_positioning_again():
-    env = Environment()
-    disk = Disk(env, "d0")
-
-    def reader(env):
-        yield from disk.read(0, 1024)
-        yield from disk.read(10_000_000, 1024)
-
-    env.process(reader(env))
-    env.run()
+    disk = Disk(Environment(), "d0")
+    _, first = disk.access_burst(0, 0, 1024, write=False)
+    disk.access_burst(first, 10_000_000, 1024, write=False)
     assert disk.stats.sequential_requests == 0
     assert disk.stats.positioning_ps == 2 * (disk.config.seek_ps
                                              + disk.config.half_rotation_ps)
@@ -64,19 +43,14 @@ def test_half_rotation_latency_10000rpm():
 
 
 def test_disk_arm_serializes_requests():
-    env = Environment()
-    disk = Disk(env, "d0")
-    completions = []
-
-    def reader(env, offset):
-        yield from disk.read(offset, 50_000_000)  # 1 s of transfer at 50 MB/s
-        completions.append(env.now)
-
-    env.process(reader(env, 0))
-    env.process(reader(env, 50_000_000))
-    env.run()
+    disk = Disk(Environment(), "d0")
+    # Two 1 s transfers (50 MB at 50 MB/s) reach the arm together.
+    _, first = disk.access_burst(0, 0, 50_000_000, write=False)
+    started, second = disk.access_burst(0, 50_000_000, 50_000_000,
+                                        write=False)
     # The second (sequential) read cannot start before the first ends.
-    assert completions[1] >= completions[0] + seconds(1) - ms(1)
+    assert started == first
+    assert second >= first + seconds(1) - ms(1)
 
 
 def test_array_aggregate_bandwidth():
@@ -87,25 +61,10 @@ def test_array_aggregate_bandwidth():
 
 def test_array_parallel_read_takes_half_the_time():
     env = Environment()
-    single = Disk(env, "solo")
     array = DiskArray(env, num_disks=2)
-
-    def read_array(env):
-        yield from array.read(0, 10_000_000)
-        return env.now
-
-    proc = env.process(read_array(env))
-    array_time = env.run(until=proc)
-
-    env2 = Environment()
-    solo = Disk(env2, "solo")
-
-    def read_single(env):
-        yield from solo.read(0, 10_000_000)
-        return env.now
-
-    proc2 = env2.process(read_single(env2))
-    single_time = env2.run(until=proc2)
+    _, array_time = array.read_burst(0, 0, 10_000_000)
+    solo = Disk(env, "solo")
+    _, single_time = solo.access_burst(0, 0, 10_000_000, write=False)
     assert array_time < single_time
     # 10 MB at 100 MB/s ~ 0.1 s (plus positioning); at 50 MB/s ~ 0.2 s.
     assert array_time == pytest.approx(single_time / 2, rel=0.1)
@@ -122,10 +81,12 @@ def test_read_size_validation():
     env = Environment()
     disk = Disk(env, "d0")
     with pytest.raises(ValueError):
-        list(disk.read(0, 0))
+        disk.access_burst(0, 0, 0, write=False)
     array = DiskArray(env)
     with pytest.raises(ValueError):
-        list(array.read(0, -1))
+        array.read_burst(0, 0, -1)
+    assert disk.stats.requests == 0
+    assert all(d.stats.requests == 0 for d in array.disks)
 
 
 def test_config_validation():

@@ -9,79 +9,53 @@ from repro.sim.units import seconds
 
 
 def test_write_pays_positioning_then_streams():
-    env = Environment()
-    disk = Disk(env, "d0")
-
-    def writer(env):
-        yield from disk.write(0, 50_000_000)  # 1 s at 50 MB/s
-        return env.now
-
-    proc = env.process(writer(env))
-    elapsed = env.run(until=proc)
-    assert elapsed >= seconds(1)
+    disk = Disk(Environment(), "d0")
+    started, done = disk.access_burst(0, 0, 50_000_000, write=True)
+    # Position first, then 1 s of transfer at 50 MB/s.
+    assert started == disk.config.seek_ps + disk.config.half_rotation_ps
+    assert done == started + seconds(1)
     assert disk.stats.bytes_written == 50_000_000
 
 
 def test_sequential_write_skips_positioning():
-    env = Environment()
-    disk = Disk(env, "d0")
-
-    def writer(env):
-        yield from disk.write(0, 1024)
-        yield from disk.write(1024, 1024)
-
-    env.process(writer(env))
-    env.run()
+    disk = Disk(Environment(), "d0")
+    _, first = disk.access_burst(0, 0, 1024, write=True)
+    disk.access_burst(first, 1024, 1024, write=True)
     assert disk.stats.sequential_requests == 1
 
 
 def test_read_then_sequential_write_shares_head_position():
-    env = Environment()
-    disk = Disk(env, "d0")
-
-    def worker(env):
-        yield from disk.read(0, 4096)
-        yield from disk.write(4096, 4096)  # continues from read's end
-
-    env.process(worker(env))
-    env.run()
+    disk = Disk(Environment(), "d0")
+    _, read_done = disk.access_burst(0, 0, 4096, write=False)
+    # Continues from the read's end.
+    disk.access_burst(read_done, 4096, 4096, write=True)
     assert disk.stats.sequential_requests == 1
 
 
 def test_array_write_stripes_across_spindles():
-    env = Environment()
-    array = DiskArray(env, num_disks=2)
-
-    def writer(env):
-        yield from array.write(0, 10_000_000)
-        return env.now
-
-    proc = env.process(writer(env))
-    elapsed = env.run(until=proc)
+    array = DiskArray(Environment(), num_disks=2)
+    _, done = array.write_burst(0, 0, 10_000_000)
     assert array.bytes_written == 10_000_000
+    assert [d.stats.bytes_written for d in array.disks] == [5_000_000] * 2
     # 10 MB at 100 MB/s aggregate ~ 0.1 s + positioning.
-    assert elapsed < seconds(0.2)
+    assert done < seconds(0.2)
 
 
 def test_write_size_validation():
     env = Environment()
     disk = Disk(env, "d0")
     with pytest.raises(ValueError):
-        list(disk.write(0, 0))
+        disk.access_burst(0, 0, 0, write=True)
     array = DiskArray(env)
     with pytest.raises(ValueError):
-        list(array.write(0, -1))
+        array.write_burst(0, 0, -1)
 
 
 def test_storage_node_serve_write_counts_traffic():
     system = System(ClusterConfig())
     storage = system.storage
-
-    def writer(env):
-        yield from storage.serve_write(0, 65536)
-
-    system.env.process(writer(system.env))
-    system.env.run()
+    done = storage.serve_write_burst(0, 0, 65536)
+    assert done > 0
     assert storage.tca.traffic.bytes_in == 65536
     assert storage.disks.bytes_written == 65536
     assert storage.scsi.stats.transactions == 1

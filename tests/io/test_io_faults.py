@@ -16,12 +16,10 @@ def _disk_injector(disk_faults, seed=0):
 # Disk transient errors
 # ----------------------------------------------------------------------
 def test_transient_read_error_is_retried_and_succeeds():
-    env = Environment()
-    disk = Disk(env, "d")
+    disk = Disk(Environment(), "d")
     disk.attach_faults(_disk_injector(DiskFaults(error_requests=(0,))))
 
-    proc = env.process(disk.read(0, 4096))
-    env.run(until=proc)
+    disk.access_burst(0, 0, 4096, write=False)
     assert disk.stats.transient_errors == 1
     assert disk.stats.retries == 1
     # The data is accounted exactly once despite the replay.
@@ -30,75 +28,49 @@ def test_transient_read_error_is_retried_and_succeeds():
 
 
 def test_transient_error_costs_time_and_repositioning():
-    clean_env = Environment()
-    clean = Disk(clean_env, "d")
-    proc = clean_env.process(clean.read(0, 4096))
-    clean_env.run(until=proc)
-    clean_time = clean_env.now
+    clean = Disk(Environment(), "d")
+    _, clean_time = clean.access_burst(0, 0, 4096, write=False)
 
-    env = Environment()
-    disk = Disk(env, "d")
+    disk = Disk(Environment(), "d")
     disk.attach_faults(_disk_injector(
         DiskFaults(error_requests=(0,), retry_backoff_ps=us(500))))
-    proc = env.process(disk.read(0, 4096))
-    env.run(until=proc)
+    started, done = disk.access_burst(0, 0, 4096, write=False)
     # Half a wasted transfer, the firmware backoff, and a second
     # positioning (the recalibration invalidated the head).
-    assert env.now > clean_time + us(500)
+    assert done > clean_time + us(500)
     assert disk.stats.positioning_ps > clean.stats.positioning_ps
+    # Data first flowed on the failed attempt.
+    assert started == clean.config.seek_ps + clean.config.half_rotation_ps
 
 
 def test_disk_error_after_bounded_retries():
-    env = Environment()
-    disk = Disk(env, "d")
+    disk = Disk(Environment(), "d")
     disk.attach_faults(_disk_injector(
         DiskFaults(error_requests=(0, 1), max_retries=1,
                    retry_backoff_ps=us(1))))
-    failures = []
-
-    def reader(env):
-        try:
-            yield from disk.read(0, 1024)
-        except DiskError as exc:
-            failures.append(exc)
-
-    env.process(reader(env))
-    env.run()
-    assert len(failures) == 1
+    with pytest.raises(DiskError):
+        disk.access_burst(0, 0, 1024, write=False)
     assert disk.stats.transient_errors == 2
     assert disk.stats.retries == 1
     assert disk.stats.bytes_read == 0
 
 
 def test_write_errors_use_the_write_rate():
-    env = Environment()
-    disk = Disk(env, "d")
+    disk = Disk(Environment(), "d")
     disk.attach_faults(_disk_injector(
         DiskFaults(write_error_rate=1.0, max_retries=0)))
-    failures = []
-
-    def writer(env):
-        try:
-            yield from disk.write(0, 1024)
-        except DiskError as exc:
-            failures.append(exc)
-
-    env.process(writer(env))
-    env.run()
-    assert len(failures) == 1
+    with pytest.raises(DiskError):
+        disk.access_burst(0, 0, 1024, write=True)
     # Reads are unaffected: the read rate is zero.
-    proc = env.process(disk.read(0, 1024))
-    env.run(until=proc)
+    disk.access_burst(0, 0, 1024, write=False)
     assert disk.stats.bytes_read == 1024
 
 
 def test_disk_array_aggregates_fault_counters():
-    env = Environment()
-    array = DiskArray(env, num_disks=2)
+    array = DiskArray(Environment(), num_disks=2)
     array.attach_faults(_disk_injector(
         DiskFaults(error_requests=(0,), retry_backoff_ps=us(1))))
-    proc = env.process(array.read(0, 8192))
-    env.run(until=proc)
+    array.read_burst(0, 0, 8192)
     # Request 0 on each spindle was scripted to fail once.
     assert array.transient_errors == 2
     assert array.retries == 2
@@ -107,17 +79,12 @@ def test_disk_array_aggregates_fault_counters():
 
 def test_fault_free_disk_timing_unchanged_by_attachment():
     """Attaching an injector with a disabled disk plan costs nothing."""
-    plain_env = Environment()
-    plain = Disk(plain_env, "d")
-    proc = plain_env.process(plain.read(0, 65536))
-    plain_env.run(until=proc)
+    plain = Disk(Environment(), "d")
+    plain_schedule = plain.access_burst(0, 0, 65536, write=False)
 
-    env = Environment()
-    disk = Disk(env, "d")
+    disk = Disk(Environment(), "d")
     disk.attach_faults(_disk_injector(DiskFaults()))
-    proc = env.process(disk.read(0, 65536))
-    env.run(until=proc)
-    assert env.now == plain_env.now
+    assert disk.access_burst(0, 0, 65536, write=False) == plain_schedule
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cluster import ClusterConfig
+from repro.cluster.node import StorageNode
 from repro.io import OsCostModel, ScsiBus, ScsiConfig, TCA, TcaConfig
 from repro.io.os_model import OsCostConfig
 from repro.sim import Environment
@@ -102,15 +104,13 @@ def test_os_config_validation():
 # TCA
 # ----------------------------------------------------------------------
 def test_tca_request_processing_time():
-    env = Environment()
-    tca = TCA(env, "tca0")
-
-    def worker(env):
-        yield from tca.process_request()
-        return env.now
-
-    proc = env.process(worker(env))
-    assert env.run(until=proc) == us(2)
+    """A read's data phase starts after TCA decode (2 us) plus SCSI
+    arbitration + selection; the TCA counts the request."""
+    node = StorageNode(Environment(), "s0", ClusterConfig())
+    node.disks.position_heads(0)  # no positioning: only the overheads
+    started, _ = node.serve_read_burst(0, 0, 1024)
+    assert started == us(2) + node.scsi.config.transaction_overhead_ps
+    assert node.tca.requests_processed == 1
 
 
 def test_tca_has_no_host_overheads():

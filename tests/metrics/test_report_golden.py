@@ -103,3 +103,20 @@ def test_performance_bars_contains_all_metrics():
     assert "host utilization" in text
     assert "host I/O traffic (normalized)" in text
     assert text.count("normal+pref") == 3
+
+
+def test_rows_table_golden_plain_and_markdown():
+    """One renderer serves the experiments CLI and the markdown report;
+    a None cell (e.g. a baseline row's ``kill_at_us``) renders in both."""
+    from repro.metrics.report import rows_table
+    rows = [{"topology": "tree", "kill_at_us": None, "ratio": 1.5},
+            {"topology": "fat_tree", "kill_at_us": 40, "ratio": 0.25}]
+    assert rows_table(rows) == """\
+    topology    kill_at_us         ratio
+        tree          None         1.500
+    fat_tree            40         0.250"""
+    assert rows_table(rows, markdown=True) == """\
+| topology | kill_at_us | ratio |
+|---|---|---|
+| tree | None | 1.500 |
+| fat_tree | 40 | 0.250 |"""

@@ -5,6 +5,7 @@ import pytest
 import repro
 from repro.apps.grep import GrepApp
 from repro.runner.api import RunResult, configure, run, run_many
+from repro.runner.options import RunOptions, make_run_options
 from repro.runner.cache import encode_case
 
 
@@ -36,6 +37,24 @@ def test_factory_path_matches_registry_path():
 def test_factory_path_rejects_spec_parameters():
     with pytest.raises(TypeError):
         run(lambda: GrepApp(scale=0.05), scale=0.05)
+
+
+@pytest.mark.parametrize("loose", [{"seed": 0}, {"parallel": 0},
+                                   {"seed": 3}])
+def test_loose_keywords_beside_run_options_raise(loose):
+    """A keyword passed beside a RunOptions is an error even when it is
+    falsy: ``seed=0`` must not silently run with the options' seed."""
+    with pytest.raises(TypeError, match="inside RunOptions"):
+        make_run_options(RunOptions(seed=7), None, **loose)
+    with pytest.raises(TypeError, match="inside RunOptions"):
+        run("grep", RunOptions(seed=7), **loose)
+
+
+def test_run_options_stand_alone_beside_default_keywords():
+    options = RunOptions(seed=7)
+    assert make_run_options(
+        options, None, parallel=None, cache=None, seed=None,
+        profile=False, params={}, overrides=None) is options
 
 
 def test_case_subset():
