@@ -8,7 +8,7 @@ Four measurements:
 * a second, cache-warmed invocation finishes in < 10% of the uncached
   serial time;
 * the DES kernel's event-storm throughput (heap slot reuse + inlined
-  run loop) via the standard benchmark fixture;
+  run loop), best of three timed drains;
 * the tracing gate is free when disabled: two interleaved untraced
   event storms agree to within scheduler noise, and a traced storm
   that records one span per event stays within 2x
@@ -84,11 +84,16 @@ def _event_storm(producers: int, events_each: int) -> int:
     return env.now
 
 
-def test_event_loop_throughput(benchmark):
+def test_event_loop_throughput():
     """Pure kernel drain: interleaved timeout storms, no app logic."""
-    now = benchmark.pedantic(
-        _event_storm, args=(16, 20_000), rounds=3, iterations=1)
-    assert now == 20_000 * 100
+    samples = []
+    for _ in range(3):
+        start = time.perf_counter()
+        now = _event_storm(16, 20_000)
+        samples.append(time.perf_counter() - start)
+        assert now == 20_000 * 100
+    print(f"\nevent storm: best of 3 {min(samples) * 1e3:.1f} ms "
+          f"({16 * 20_000 / min(samples) / 1e6:.2f} M events/s)")
 
 
 def _traced_event_storm(producers: int, events_each: int) -> int:

@@ -88,17 +88,6 @@ class PlacementPlan:
     def instances(self) -> int:
         return len(self.placements)
 
-    def copy(self) -> "PlacementPlan":
-        """An independent plan: fresh dicts around the (frozen, safely
-        shared) :class:`Placement` entries, so a cached plan handed to
-        multiple callers can never alias their mutations."""
-        return PlacementPlan(policy=self.policy, root=self.root,
-                             placements=dict(self.placements),
-                             entry=dict(self.entry))
-
-    def levels_used(self) -> List[int]:
-        return sorted({p.level for p in self.placements.values()})
-
     def describe(self) -> dict:
         per_level: Dict[int, int] = {}
         for placement in self.placements.values():
@@ -389,8 +378,9 @@ def run_placed_reduction(fabric: Fabric, plan: PlacementPlan,
     in host order.
 
     With ``timeout_ps`` set (defaulted from the fault plan's
-    ``failstop.collective_timeout_ps`` when fail-stop events are
-    armed), each attempt races an end-to-end deadline.  A timed-out
+    ``failstop.collective_timeout_ps`` when fail-stop events or handler
+    crashes are armed — a contained crash loses a contribution), each
+    attempt races an end-to-end deadline.  A timed-out
     attempt consults the fabric's detected-down set, repairs the plan
     (:func:`repair_plan`), bumps the epoch, and re-sends everything —
     idempotent contributions make the re-send safe.  After
@@ -405,9 +395,10 @@ def run_placed_reduction(fabric: Fabric, plan: PlacementPlan,
     stride = region_stride(vector_bytes)
     done: Dict = {}
 
-    failstop = (fabric.injector.plan.failstop
-                if fabric.injector is not None else None)
-    armed = failstop is not None and failstop.enabled
+    faults = fabric.injector.plan if fabric.injector is not None else None
+    armed = faults is not None and (faults.failstop.enabled
+                                    or faults.handler.enabled)
+    failstop = faults.failstop if faults is not None else None
     if timeout_ps is None and armed:
         timeout_ps = failstop.collective_timeout_ps
     if max_attempts is None:

@@ -1,25 +1,14 @@
 """Ablation studies of the active-switch design choices.
 
-Beyond reproducing the paper's figures, these experiments isolate the
-individual design decisions DESIGN.md section 7 calls out:
-
-* **cut-through** — valid-bit streaming (handlers compute while the
-  block arrives) versus store-and-forward handlers;
-* **buffer count** — how many of the 16 on-chip data buffers the
-  multi-stream reduction really needs;
-* **clock ratio** — how fast the embedded core must be before a
-  whole-application offload (MD5 on one CPU) stops losing;
-* **prefetch depth** — how many outstanding disk requests it takes to
-  hide the I/O path;
-* **non-interference** — design goal #1: active load must not slow
-  down non-active forwarding;
-* **filter placement** — one switch CPU amortised across several
-  passive storage streams (the paper's economic argument versus
-  active disks).
+Beyond reproducing the paper's figures, these sweeps isolate the
+individual design decisions; DESIGN.md section 7 names the claim each
+one probes.  Each sweep registers as an ``ablation_*`` experiment
+(bottom of this module) whose shape checks state what it must show.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
 from typing import Dict, List
 
@@ -31,6 +20,7 @@ from ..apps.reduction import (
     _make_vectors,
     run_active_reduction,
     run_normal_reduction,
+    vector_size_sweep,
 )
 from ..apps.select import SelectApp
 from ..cluster.config import ClusterConfig
@@ -41,6 +31,7 @@ from ..net import ActiveHeader, ChannelAdapter, Link, Message
 from ..sim import Environment
 from ..sim.units import us
 from ..switch import ActiveSwitch, ActiveSwitchConfig
+from .registry import Experiment, Shape, register
 
 
 # ----------------------------------------------------------------------
@@ -466,3 +457,126 @@ def ablate_sort_skew(scale: float = 1 / 512,
             "traffic_fraction": result.normalized_traffic("active"),
         })
     return rows
+
+
+# ----------------------------------------------------------------------
+# Registry entries: one per ablation sweep
+# ----------------------------------------------------------------------
+def _ablation(experiment_id: str, title: str, sweep, *shape) -> None:
+    """Register ``sweep`` at its default arguments; its ``scale``
+    parameter, if it has one, is the entry's scale."""
+    scale = inspect.signature(sweep).parameters.get("scale")
+    register(Experiment(
+        experiment_id=experiment_id, title=title, paper={}, shape=shape,
+        run=sweep if scale else lambda scale=1.0: sweep(),
+        default_scale=scale.default if scale else 1.0))
+
+
+def _at(key: str, value: str, point):
+    """Row ``key == point``'s ``value``."""
+    return lambda rows: {row[key]: row[value] for row in rows}[point]
+
+
+def _ratio(key: str, value: str, top, bottom):
+    return lambda rows: (_at(key, value, top)(rows)
+                         / _at(key, value, bottom)(rows))
+
+
+def _steps(rows, key: str = "speedup") -> List[float]:
+    """Ratios between consecutive rows' ``key`` values."""
+    return [b[key] / a[key] for a, b in zip(rows, rows[1:])]
+
+
+_ablation(
+    "ablation_cut_through", "Ablation: valid-bit streaming on/off (Grep)",
+    ablate_cut_through,
+    Shape("valid bits overlap the handler",
+          lambda t: t["overlap benefit"], ">", 1.10))
+_ablation(
+    "ablation_buffer_count", "Ablation: data buffers, 8-way leaf reduction",
+    ablate_buffer_count,
+    Shape("16 buffers no slower than 2",
+          _ratio("buffers", "latency_us", 16, 2), "<=", 1.01),
+    Shape("2 buffers within 25 % of 16",
+          _ratio("buffers", "latency_us", 2, 16), "<=", 1.25))
+_ablation(
+    "ablation_clock_ratio", "Ablation: switch CPU clock, MD5 on one CPU",
+    ablate_clock_ratio,
+    Shape("500 MHz loses badly", _at("freq_mhz", "speedup", 500.0), "<", 0.6),
+    Shape("speedup rises with every clock step",
+          lambda rows: min(_steps(rows)), ">", 1.0),
+    Shape("2 GHz (host parity) wins", _at("freq_mhz", "speedup", 2000.0),
+          ">", 1.0))
+_ablation(
+    "ablation_prefetch_depth", "Ablation: outstanding I/O requests (Select)",
+    ablate_prefetch_depth,
+    Shape("depth 2 beats synchronous", _ratio("depth", "exec_ms", 2, 1),
+          "<", 0.95),
+    Shape("depth 4 adds nothing",
+          lambda rows: abs(_ratio("depth", "exec_ms", 4, 2)(rows) - 1),
+          "<", 0.02),
+    Shape("depth 1 leaves the disks idle",
+          _at("depth", "disk_utilization", 1), "<", 0.95),
+    Shape("depth 2 saturates the disks",
+          _at("depth", "disk_utilization", 2), ">", 0.95))
+_ablation(
+    "ablation_noninterference", "Ablation: forwarding under active load",
+    ablate_noninterference,
+    Shape("forwarding slowdown off 1.0",
+          lambda result: abs(result["slowdown"] - 1.0), "<=", 0.02))
+_ablation(
+    "ablation_filter_placement", "Ablation: one switch CPU, two disk streams",
+    ablate_filter_placement,
+    Shape("two concurrent streams", lambda r: r["streams"], "==", 2.0),
+    Shape("one switch CPU has headroom",
+          lambda r: r["switch_cpu_busy_frac"], "<", 0.5),
+    Shape("the run stays disk-bound", lambda r: r["disk_bound"], "==", 1.0))
+_ablation(
+    "ablation_storage_scaling", "Ablation: Grep a+p speedup vs disk bandwidth",
+    ablate_storage_scaling,
+    Shape("active holds at 100 MB/s", _at("disk_mb_s", "speedup", 100.0),
+          ">=", 1.0),
+    Shape("handler-bound at 800 MB/s", _at("disk_mb_s", "speedup", 800.0),
+          "<", 1.0),
+    Shape("erosion is monotone from 200 MB/s",
+          lambda rows: max(_steps(rows[1:])), "<=", 1.0))
+_ablation(
+    "ablation_selectivity", "Ablation: Select traffic vs selectivity",
+    ablate_selectivity,
+    Shape("traffic off the selectivity",
+          lambda rows: max(abs(row["traffic_fraction"] - row["selectivity"])
+                           for row in rows), "<", 0.05))
+_ablation(
+    "ablation_queueing_discipline", "Ablation: output vs input queuing",
+    ablate_queueing_discipline,
+    Shape("HOL blocking stretches the makespan",
+          lambda r: r["hol_penalty"], ">", 1.2),
+    Shape("cold flows wait behind hot ones",
+          lambda r: r["cold_latency_ratio"], ">", 3.0))
+_ablation(
+    "ablation_receive_discipline", "Ablation: polling vs interrupt receives",
+    ablate_receive_discipline,
+    Shape("interrupts widen the active win",
+          lambda r: r["interrupt"]["speedup"] / r["polling"]["speedup"],
+          ">", 1.0),
+    Shape("interrupts slow the MST baseline",
+          lambda r: r["interrupt"]["normal_us"] / r["polling"]["normal_us"],
+          ">", 1.2))
+_ablation(
+    "ablation_sort_skew", "Ablation: Zipf key skew in the parallel sort",
+    ablate_sort_skew,
+    Shape("skew unbalances the partition",
+          _ratio("zipf_exponent", "imbalance", 1.0, 0.0), ">", 1.2),
+    Shape("distribution stays read-bound",
+          _ratio("zipf_exponent", "active_exec_ms", 1.0, 0.0), "<", 1.05),
+    Shape("uniform keys off p/(3p-2) at p=4",
+          lambda rows: abs(_at("zipf_exponent", "traffic_fraction", 0.0)(
+              rows) - 0.40), "<", 0.02))
+_ablation(
+    "ablation_vector_size", "Ablation: reduction speedup vs vector size",
+    vector_size_sweep,
+    Shape("speedup falls with every size step",
+          lambda rows: max(_steps(rows)), "<", 1.0),
+    Shape("strong small-vector win", lambda rows: rows[0]["speedup"],
+          ">", 4.0),
+    Shape("near parity at 8 KB", lambda rows: rows[-1]["speedup"], "<", 1.5))

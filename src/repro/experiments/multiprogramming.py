@@ -19,7 +19,7 @@ from typing import Dict, List
 
 from ..cluster.config import CASE_ORDER
 from ..runner.api import run
-from .registry import Experiment, register
+from .registry import Experiment, Shape, quoted, register
 
 #: Background job: operations of 50k host cycles (25 us each).
 BACKGROUND_OP_CYCLES = 50_000
@@ -41,6 +41,10 @@ def multiprogramming_throughput(scale: float = 1 / 32) -> List[Dict]:
             "bg_ops_per_ms": (idle_ps // op_ps) / (case.exec_ps / 1e9),
         })
     return rows
+
+
+def _by_case(rows, label: str) -> Dict:
+    return {row["case"]: row for row in rows}[label]
 
 
 def _measured(rows) -> Dict[str, float]:
@@ -69,4 +73,18 @@ register(Experiment(
     default_scale=1 / 32,
     notes=("Quantifies the conclusion's multi-programming argument: "
            "idle host time convertible to background work."),
+    tolerance={"scan slowdown from offload": quoted(
+        "1.0", "conclusion: 'little or no speedup'")},
+    shape=(
+        Shape("the scan does not slow down",
+              lambda rows: _measured(rows)["scan slowdown from offload"],
+              "<=", 1.02),
+        Shape("background throughput rises",
+              lambda rows: (_by_case(rows, "active+pref")["bg_ops_per_ms"]
+                            / _by_case(rows, "normal+pref")["bg_ops_per_ms"]),
+              ">", 1.10),
+        Shape("active host nearly idle",
+              lambda rows: _by_case(rows, "active+pref")["host_idle_frac"],
+              ">", 0.95),
+    ),
 ))

@@ -1,17 +1,18 @@
-"""Generate a complete markdown results report.
+"""The one renderer of experiment results, plain text or markdown.
 
-``generate_report()`` runs every registered experiment at its default
-scale and emits one self-contained markdown document: figure-style
-tables, bar charts, and paper-vs-measured comparisons.  This is the
-machine-generated companion to the hand-curated EXPERIMENTS.md::
+:func:`run_and_render` serves ``python -m repro.experiments`` (plain)
+and its ``--markdown`` report; :func:`summary` renders EXPERIMENTS.md's
+summary block of the paper's tables and figures, which
+:func:`write_summary` rewrites in place::
 
-    python -m repro.experiments --markdown experiments_report.md
+    python -c "from repro.experiments.report_generator import write_summary; write_summary('EXPERIMENTS.md')"
 """
 
 from __future__ import annotations
 
+import re
 import time
-from typing import Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..metrics.report import (
     breakdown_table,
@@ -21,61 +22,167 @@ from ..metrics.report import (
     rows_table,
 )
 from ..metrics.results import BenchmarkResult
-from .registry import all_experiments, compare
+from .registry import (
+    Experiment,
+    Outcome,
+    all_experiments,
+    evaluate,
+    paper_experiments,
+)
+
+#: EXPERIMENTS.md's generated block sits between these two lines.
+SUMMARY_BEGIN = "<!-- ledger:begin (generated; do not edit) -->"
+SUMMARY_END = "<!-- ledger:end -->"
 
 
-def _render_result(experiment, result) -> str:
-    parts = []
+def _number(value: float) -> str:
+    return f"{value:.3f}" if abs(value) < 1e4 else f"{value:.4g}"
+
+
+def _status(experiment: Experiment, outcome: Outcome) -> str:
+    documented = outcome.check in experiment.deviations
+    if outcome.ok:
+        return "unexpected pass" if documented else "ok"
+    return "deviation" if documented else "FAIL"
+
+
+def _result_tables(result, markdown: bool) -> List[str]:
+    """The figure-style tables of one result, by result type."""
+    fence = (lambda text: f"```\n{text}\n```") if markdown else str
     if isinstance(result, BenchmarkResult):
-        parts.append("```\n" + performance_table(result) + "\n```")
-        parts.append("```\n" + performance_bars(result) + "\n```")
-        parts.append("```\n" + breakdown_table(result) + "\n```")
-    elif isinstance(result, dict) and result and all(
+        return [fence(performance_table(result)),
+                fence(performance_bars(result)),
+                fence(breakdown_table(result))]
+    if isinstance(result, dict) and result and all(
             isinstance(v, BenchmarkResult) for v in result.values()):
+        parts = []
         for key, sub in result.items():
-            parts.append(f"**Variant {key}:**")
-            parts.append("```\n" + performance_table(sub) + "\n```")
-    elif isinstance(result, list) and result and isinstance(result[0], dict):
-        parts.append(rows_table(result, markdown=True))
-    parts.append("```\n"
-                 + comparison_table(experiment.experiment_id,
-                                    compare(experiment, result))
-                 + "\n```")
+            parts.append(f"**Variant {key}:**" if markdown
+                         else f"-- variant {key} --")
+            parts.append(fence(performance_table(sub)))
+        return parts
+    if isinstance(result, list) and result and isinstance(result[0], dict):
+        return [rows_table(result, markdown=markdown)]
+    return []
+
+
+def ledger_table(experiment: Experiment, result,
+                 outcomes: Sequence[Outcome]) -> str:
+    """Every check with its measured value, claim and status, then the
+    experiment's other measured metrics."""
+    rows = [(o.check, o.value, o.paper, o.claim, _status(experiment, o))
+            for o in outcomes]
+    rows += [(metric, value, None, "-", "")
+             for metric, value in experiment.measured(result).items()
+             if metric not in experiment.paper]
+    return comparison_table(experiment.experiment_id, rows,
+                            extra=("claim", "status"))
+
+
+def render(experiment: Experiment, result, outcomes: Sequence[Outcome],
+           scale: float, elapsed: float, markdown: bool = False) -> str:
+    """One experiment's result tables, ledger and notes."""
+    if markdown:
+        sections = [f"## {experiment.title}",
+                    f"Scale {scale:g}, wall time {elapsed:.1f} s."]
+    else:
+        sections = [f"== {experiment.title} (scale={scale:g}, "
+                    f"{elapsed:.1f}s) =="]
+    sections += _result_tables(result, markdown)
+    table = ledger_table(experiment, result, outcomes)
+    sections.append(f"```\n{table}\n```" if markdown else table)
+    for outcome in outcomes:
+        note = experiment.deviations.get(outcome.check)
+        if note and not outcome.ok:
+            sections.append(f"*{outcome.check}: {note}*" if markdown
+                            else f"{outcome.check}: {note}")
     if experiment.notes:
-        parts.append(f"*Note: {experiment.notes}*")
-    return "\n\n".join(parts)
+        sections.append(f"*Note: {experiment.notes}*" if markdown
+                        else f"note: {experiment.notes}")
+    return "\n\n".join(sections)
 
 
-def generate_report(scale: Optional[float] = None,
-                    experiment_ids: Optional[list] = None) -> str:
-    """Run the experiments and return the markdown report."""
-    chosen = all_experiments()
-    if experiment_ids:
-        chosen = [e for e in chosen if e.experiment_id in experiment_ids]
-    sections = [
-        "# Generated results report",
-        "",
-        "Produced by `python -m repro.experiments --markdown`; see",
-        "EXPERIMENTS.md for curated paper-vs-measured commentary.",
-        "",
-    ]
-    for experiment in chosen:
-        chosen_scale = experiment.default_scale if scale is None else scale
-        start = time.time()
-        result = experiment.run(chosen_scale)
-        elapsed = time.time() - start
-        sections.append(f"## {experiment.title}")
-        sections.append("")
-        sections.append(f"Scale {chosen_scale:g}, wall time {elapsed:.1f} s.")
-        sections.append("")
-        sections.append(_render_result(experiment, result))
-        sections.append("")
-    return "\n".join(sections)
+def run_and_render(experiment: Experiment, scale: Optional[float] = None,
+                   markdown: bool = False,
+                   collect: Optional[Dict] = None) -> str:
+    """Run ``experiment`` once, evaluate its checks and render both.
+
+    ``collect``, if given, receives the measured metrics and check
+    outcomes keyed by experiment id (for ``--json``).
+    """
+    chosen = experiment.default_scale if scale is None else scale
+    start = time.perf_counter()
+    result = experiment.run(chosen)
+    elapsed = time.perf_counter() - start
+    outcomes = evaluate(experiment, result)
+    if collect is not None:
+        collect[experiment.experiment_id] = {
+            "title": experiment.title,
+            "scale": chosen,
+            "paper": experiment.paper,
+            "measured": experiment.measured(result),
+            "checks": {o.check: {"value": o.value, "claim": o.claim,
+                                 "status": _status(experiment, o)}
+                       for o in outcomes},
+        }
+    return render(experiment, result, outcomes, chosen, elapsed, markdown)
 
 
 def write_report(path: str, scale: Optional[float] = None,
                  experiment_ids: Optional[list] = None) -> None:
-    """Generate and write the report to ``path``."""
+    """Run the experiments and write one markdown report to ``path``."""
+    chosen = [e for e in all_experiments()
+              if not experiment_ids or e.experiment_id in experiment_ids]
+    sections = ["# Generated results report",
+                "Produced by `python -m repro.experiments --markdown`; see "
+                "EXPERIMENTS.md for curated paper-vs-measured commentary."]
+    sections += [run_and_render(e, scale, markdown=True) for e in chosen]
     with open(path, "w") as handle:
-        handle.write(generate_report(scale=scale,
-                                     experiment_ids=experiment_ids))
+        handle.write("\n\n".join(sections) + "\n")
+
+
+def summary(runs: Sequence[Tuple[Experiment, Sequence[Outcome]]]) -> str:
+    """EXPERIMENTS.md's summary block: one row per paper metric, the
+    "k of N" line, each miss with its note, then the same for the
+    shape checks."""
+    checks = [(e.title.split(":")[0], e, o)
+              for e, outcomes in runs for o in outcomes]
+    metrics = [check for check in checks if check[2].paper is not None]
+    lines = ["| Experiment | Metric | Paper | Tolerance | Source | "
+             "Measured | |", "|---|---|---:|---|---|---:|---|"]
+    lines += [f"| {label} | {o.check} | {o.paper:g} | {o.claim} | "
+              f"{e.tolerance[o.check].source} | {_number(o.value)} | "
+              f"{'✓' if o.ok else '✗'} |" for label, e, o in metrics]
+    for found, held in ((metrics, "metrics inside tolerance"),
+                        ([c for c in checks if c[2].paper is None],
+                         "shape checks hold")):
+        misses = [f"- {label} · {o.check}: {_number(o.value)} against "
+                  f"{o.claim}; {e.deviations.get(o.check, 'UNDOCUMENTED')}"
+                  for label, e, o in found if not o.ok]
+        lines += ["", f"**{len(found) - len(misses)} of {len(found)} "
+                      f"{held}.**"] + ([""] + misses if misses else [])
+    return "\n".join(lines)
+
+
+def paper_runs() -> List[Tuple[Experiment, List[Outcome]]]:
+    """Run the paper's tables and figures at their default scales."""
+    return [(e, evaluate(e, e.run(e.default_scale)))
+            for e in paper_experiments()]
+
+
+def replace_summary(text: str, block: str) -> str:
+    """``text`` with its generated summary block replaced by ``block``."""
+    pattern = re.compile(re.escape(SUMMARY_BEGIN) + ".*?"
+                         + re.escape(SUMMARY_END), re.DOTALL)
+    if not pattern.search(text):
+        raise ValueError("no generated summary block to replace")
+    return pattern.sub(lambda _m: f"{SUMMARY_BEGIN}\n{block}\n{SUMMARY_END}",
+                       text)
+
+
+def write_summary(path: str) -> None:
+    """Regenerate the summary block of the markdown file at ``path``."""
+    with open(path) as handle:
+        text = handle.read()
+    with open(path, "w") as handle:
+        handle.write(replace_summary(text, summary(paper_runs())))

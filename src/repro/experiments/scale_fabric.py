@@ -30,7 +30,7 @@ from ..cluster.fabric import TopologySpec, build_fabric
 from ..cluster.placement import plan_placement, run_placed_reduction
 from ..apps.reduction import run_normal_reduction
 from ..sim.core import Environment
-from .registry import Experiment, register
+from .registry import Experiment, bounded, register
 
 #: Host counts swept (64 .. 1024; scale trims the top end).
 HOST_COUNTS = (64, 128, 256, 512, 1024)
@@ -100,6 +100,12 @@ register(Experiment(
         # from single-point aggregation as the fabric grows.
         "per_level speedup vs host_only @64": 4.0,
         "per_level growth 64->top": 1.5,
+    },
+    tolerance={
+        "per_level speedup vs host_only @64": bounded(
+            4.0, source="design target: at least Fig 15's gap"),
+        "per_level growth 64->top": bounded(
+            0, 1.5, "design target: latency grows with depth only"),
     },
     run=lambda scale=1.0: fabric_scale_sweep(scale),
     measured=_measured,

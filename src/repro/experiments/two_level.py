@@ -27,7 +27,7 @@ from ..cluster.config import ClusterConfig
 from ..cluster.system import System
 from ..io.active_storage import ActiveStorageNode
 from ..workloads import records
-from .registry import Experiment, register
+from .registry import Experiment, Shape, quoted, register
 
 #: Cycles per record for the range predicate on each engine.
 HOST_FILTER_CYCLES = 8
@@ -149,6 +149,10 @@ def compare_filter_placement(scale: float = 1 / 64) -> List[Dict]:
     return rows
 
 
+def _by_placement(rows, placement: str, key: str):
+    return {row["placement"]: row for row in rows}[placement][key]
+
+
 def _measured(rows) -> Dict[str, float]:
     by_placement = {row["placement"]: row for row in rows}
     host = by_placement["host"]
@@ -179,4 +183,19 @@ register(Experiment(
     notes=("Not a paper figure: quantifies the Related-Work trade-off "
            "between active switches and active disks, and their "
            "two-level composition."),
+    tolerance={
+        "device fabric fraction": quoted("0.25", "Select's selectivity"),
+        "switch fabric fraction": quoted("1.00", "unfiltered storage link"),
+    },
+    shape=(
+        Shape("every placement is disk-bound",
+              lambda rows: _measured(rows)["all disk-bound spread"],
+              "<", 1.10),
+        Shape("device ships a quarter of the fabric bytes",
+              lambda rows: _by_placement(rows, "device", "fabric_bytes")
+              - _by_placement(rows, "host", "fabric_bytes") // 4, "==", 0),
+        Shape("switch delivers a quarter of the host bytes",
+              lambda rows: _by_placement(rows, "switch", "host_in_bytes")
+              - _by_placement(rows, "host", "host_in_bytes") // 4, "==", 0),
+    ),
 ))

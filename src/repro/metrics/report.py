@@ -245,18 +245,23 @@ class Report:
         return f"<Report {self.result.name!r}>"
 
 
-def comparison_table(name: str,
-                     rows: Iterable[Tuple[str, float, Optional[float]]]) -> str:
-    """Paper-vs-measured comparison (for EXPERIMENTS.md)."""
+def comparison_table(name: str, rows: Iterable[Sequence],
+                     extra: Sequence[str] = ()) -> str:
+    """Paper-vs-measured comparison.
+
+    Each row is ``(label, measured, paper, *cells)``; ``paper`` may be
+    None, and ``extra`` names the trailing text columns.
+    """
     formatted: List[List[str]] = []
-    for label, measured, paper in rows:
+    for label, measured, paper, *cells in rows:
         formatted.append([
             label,
             f"{measured:.3f}",
             "-" if paper is None else f"{paper:.3f}",
+            *cells,
         ])
     return f"{name}: paper vs measured\n" + render_table(
-        ["metric", "measured", "paper"], formatted)
+        ["metric", "measured", "paper", *extra], formatted)
 
 
 def rows_table(rows: Sequence[dict], markdown: bool = False) -> str:

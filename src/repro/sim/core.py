@@ -145,8 +145,13 @@ class Environment:
         return self._drain(until)
 
     def _drain(self, until: Optional[Any]) -> Any:
-        """The drain loops of :meth:`run`, one per form of ``until``."""
-        # They inline step() — pop, advance the clock,
+        """The drain loop of :meth:`run`, one for every form of ``until``.
+
+        The loop stops at a horizon (``Infinity`` unless ``until`` is a
+        time) or when an event sentinel's callback fires; what follows
+        the loop is particular to each form.
+        """
+        # The loop inlines step() — pop, advance the clock,
         # recycle the heap slot, dispatch — binding the queue and
         # heappop as locals.  On a full benchmark run this loop executes
         # millions of times; dropping the method call and tuple unpack
@@ -154,54 +159,19 @@ class Environment:
         # benchmarks/test_runner_speedup.py).  Semantics are identical
         # to calling step() in a loop, including the per-event watchdog
         # poll (the watchdog may be armed mid-run by a resumed process).
+        finished = []
+        horizon = Infinity
+        if isinstance(until, Event):
+            until.add_callback(lambda _e: finished.append(True))
+        elif until is not None:
+            horizon = int(until)
+            if horizon < self._now:
+                raise SimulationError(
+                    f"cannot run until {horizon}: already at {self._now}")
         queue = self._queue
         free = self._free_slots
         pop = heappop
-
-        if until is None:
-            while queue:
-                entry = pop(queue)
-                self._now = entry[0]
-                event = entry[3]
-                entry[3] = None
-                if len(free) < 4096:
-                    free.append(entry)
-                self._event_count += 1
-                event._process()
-                if self._watchdog_armed:
-                    self._watchdog_check()
-            self._deadlock_check("event queue drained")
-            return None
-
-        if isinstance(until, Event):
-            sentinel = until
-            finished = []
-            sentinel.add_callback(lambda _e: finished.append(True))
-            while queue and not finished:
-                entry = pop(queue)
-                self._now = entry[0]
-                event = entry[3]
-                entry[3] = None
-                if len(free) < 4096:
-                    free.append(entry)
-                self._event_count += 1
-                event._process()
-                if self._watchdog_armed:
-                    self._watchdog_check()
-            if not finished:
-                self._deadlock_check(
-                    f"event queue drained before {sentinel!r} was processed")
-                raise SimulationError(
-                    f"queue drained before {sentinel!r} was processed")
-            if not sentinel.ok:
-                raise sentinel.value
-            return sentinel.value
-
-        horizon = int(until)
-        if horizon < self._now:
-            raise SimulationError(
-                f"cannot run until {horizon}: already at {self._now}")
-        while queue and queue[0][0] <= horizon:
+        while queue and not finished and queue[0][0] <= horizon:
             entry = pop(queue)
             self._now = entry[0]
             event = entry[3]
@@ -212,6 +182,19 @@ class Environment:
             event._process()
             if self._watchdog_armed:
                 self._watchdog_check()
+
+        if until is None:
+            self._deadlock_check("event queue drained")
+            return None
+        if isinstance(until, Event):
+            if not finished:
+                self._deadlock_check(
+                    f"event queue drained before {until!r} was processed")
+                raise SimulationError(
+                    f"queue drained before {until!r} was processed")
+            if not until.ok:
+                raise until.value
+            return until.value
         self._now = horizon
         return None
 

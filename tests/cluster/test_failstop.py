@@ -5,10 +5,11 @@ import pytest
 from repro.apps.reduction import REDUCTION_HCA, _make_vectors, _oracle
 from repro.cluster.fabric import (FabricPartitioned, TopologySpec,
                                   build_fabric)
-from repro.cluster.placement import (CollectiveTimeout, plan_placement,
-                                     repair_plan, run_placed_reduction)
+from repro.cluster.placement import (H_COMBINE, CollectiveTimeout,
+                                     plan_placement, repair_plan,
+                                     run_placed_reduction)
 from repro.faults import (FailStopEvent, FailStopFaults, FaultInjector,
-                          FaultPlan)
+                          FaultPlan, HandlerFaults)
 from repro.obs import MetricsRegistry
 from repro.sim import Environment
 from repro.sim.units import us
@@ -247,6 +248,28 @@ def test_all_spines_dead_surfaces_partition_not_hang():
     plan = plan_placement(fabric, "per_level")
     with pytest.raises((FabricPartitioned, CollectiveTimeout)):
         run_placed_reduction(fabric, plan, vectors)
+
+
+def test_crashed_combine_handler_retries_the_epoch_not_deadlocks():
+    """A contained combine-handler crash loses one contribution; the
+    collective deadline (armed by handler faults alone) re-runs the
+    epoch to the oracle result instead of draining into a deadlock."""
+    plan = FaultPlan(handler=HandlerFaults(
+        crash_invocations=((H_COMBINE, 0),)))
+    env, fabric = _fat_tree(injector=FaultInjector(plan, seed=0))
+    vectors = _make_vectors(len(fabric.hosts))
+    done = run_placed_reduction(fabric, plan_placement(fabric, "per_level"),
+                                vectors)
+    assert done["result"] == _oracle(vectors)
+    assert done["attempts"] > 1
+    assert done["latency_ps"] > FailStopFaults().collective_timeout_ps
+
+
+def test_chaos_reduce_through_the_front_door_completes():
+    import repro
+    result = repro.run("reduce", topology="tree", hosts=64,
+                       preset="chaos_2003", cases=("active",))
+    assert result.cases["active"].extra["collective_attempts"] == 2.0
 
 
 # ----------------------------------------------------------------------
