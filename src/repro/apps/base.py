@@ -140,8 +140,8 @@ class SystemApp:
         every instrumented component emits structured events into it for
         the duration of the case.  ``metrics_sink`` is an optional dict
         that receives the system's full ``MetricsRegistry`` snapshot after
-        the run — the cache/TLB/memory counters behind the bench harness
-        and the golden-equivalence tests.  The returned
+        the run — the cache/TLB/memory counters behind the
+        golden-equivalence tests.  The returned
         :class:`CaseResult` is identical either way — observers never
         feed back into results.
         """

@@ -149,8 +149,7 @@ class System:
             for cpu in switch.cpus:
                 self._register_hierarchy(f"mem.{cpu.name}", cpu.hierarchy)
 
-    #: CacheStats fields exposed per cache level (shared vocabulary with
-    #: ``repro.bench``, which derives the accesses/sec rates from these).
+    #: CacheStats fields exposed per cache level.
     _CACHE_FIELDS = ["accesses", "hits", "misses", "evictions", "writebacks"]
 
     def _register_hierarchy(self, prefix: str, hierarchy) -> None:
@@ -158,8 +157,7 @@ class System:
 
         Every cache level, TLB, and the RDRAM behind one
         :class:`~repro.mem.MemoryHierarchy` lands under ``mem.<cpu>.*``,
-        so traces, the golden-equivalence tests, and ``python -m
-        repro.bench`` all read the same names.
+        so traces and the golden-equivalence tests read the same names.
         """
         m = self.metrics
         for level in ("l1d", "l1i", "l2"):

@@ -17,12 +17,10 @@ so the second point a worker simulates skips both.
 
 Correctness: both caches are keyed by frozen, value-equal inputs
 (:class:`~repro.runner.AppSpec`, the topology kind and host count),
-hop lists are copied on the way out, and app instances follow the
-established reuse precedent (the bench harness has always reused one
-app across all four cases and proven bit-identity against cold
-builds).  ``tests/cluster/test_template.py`` proves cache-shared runs
-equal cold-built runs for every registered app.  Unhashable specs
-bypass the app cache and build cold.
+hop lists are copied on the way out, and one app instance serves all
+four cases of a cell.  ``tests/cluster/test_template.py`` proves
+cache-shared runs equal cold-built runs for every registered app.
+Unhashable specs bypass the app cache and build cold.
 """
 
 from __future__ import annotations
@@ -49,11 +47,11 @@ def cached_app(spec):
     """The built application for an :class:`~repro.runner.AppSpec`.
 
     One build per process per spec content: the four cases of a grid
-    cell, every rate point of a sweep, and every repeat of a bench cell
-    share the instance.  Apps are read-only at simulation time (each
-    ``run_case``/service run builds its own System and workload state),
-    so sharing is bit-identical to cold builds — proven by
-    ``tests/cluster/test_template.py``.
+    cell, every rate point of a sweep, and every timed pass of the repo
+    benchmark (``benchmarks/e2e/run.py``) share the instance.  Apps are
+    read-only at simulation time (each ``run_case``/service run builds
+    its own System and workload state), so sharing is bit-identical to
+    cold builds — proven by ``tests/cluster/test_template.py``.
     """
     try:
         app = _APP_CACHE.get(spec)

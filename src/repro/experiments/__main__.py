@@ -29,7 +29,9 @@ def main(argv=None) -> int:
     parser.add_argument("experiments", nargs="*",
                         help="experiment ids (default: all)")
     parser.add_argument("--scale", type=float, default=None,
-                        help="override workload scale (1.0 = paper sizes)")
+                        help="override workload scale (1.0 = paper "
+                             "sizes); entries with fixed inputs run "
+                             "without one")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write measured metrics and check "
                              "outcomes as JSON")

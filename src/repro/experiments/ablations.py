@@ -464,12 +464,13 @@ def ablate_sort_skew(scale: float = 1 / 512,
 # ----------------------------------------------------------------------
 def _ablation(experiment_id: str, title: str, sweep, *shape) -> None:
     """Register ``sweep`` at its default arguments; its ``scale``
-    parameter, if it has one, is the entry's scale."""
+    parameter, if it has one, is the entry's scale, and a sweep without
+    one has fixed inputs."""
     scale = inspect.signature(sweep).parameters.get("scale")
     register(Experiment(
         experiment_id=experiment_id, title=title, paper={}, shape=shape,
-        run=sweep if scale else lambda scale=1.0: sweep(),
-        default_scale=scale.default if scale else 1.0))
+        run=sweep if scale else lambda scale=None: sweep(),
+        default_scale=scale.default if scale else None))
 
 
 def _at(key: str, value: str, point):

@@ -18,7 +18,7 @@ from .registry import Experiment, Shape, bounded, quoted, register
 # ----------------------------------------------------------------------
 # Table 1: applications and problem sizes
 # ----------------------------------------------------------------------
-def _run_table1(scale: float = 1.0):
+def _run_table1(scale=None):
     from ..workloads import datamation
     return [
         ("MPEG filter", 2_202_640),
@@ -37,6 +37,7 @@ register(Experiment(
     title="Table 1: Applications and problem sizes",
     paper={"applications": 8},
     run=_run_table1,
+    default_scale=None,
     measured=lambda rows: {"applications": len(rows)},
     tolerance={"applications": quoted("8", "Table 1")},
     shape=(
@@ -495,7 +496,7 @@ register(Experiment(
 # ----------------------------------------------------------------------
 # Table 2: reduction semantics (functional, not timed)
 # ----------------------------------------------------------------------
-def _run_table2(scale: float = 1.0):
+def _run_table2(scale=None):
     from ..apps.reduction import run_reduction_point
     return {
         "reduce-to-one": run_reduction_point(8, REDUCE_TO_ONE, active=True),
@@ -508,6 +509,7 @@ register(Experiment(
     title="Table 2: Collective reduction semantics",
     paper={"modes verified": 2},
     run=_run_table2,
+    default_scale=None,
     measured=lambda results: {"modes verified": float(len(results))},
     tolerance={"modes verified": quoted("2", "Table 2")},
     shape=(

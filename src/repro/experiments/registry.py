@@ -19,7 +19,9 @@ when the failing set differs from ``deviations`` in either direction.
 Scales: the paper's own inputs are ``scale=1.0``; the registry's
 ``default_scale`` keeps each experiment's wall-clock time reasonable
 while preserving behaviour (cache sizes co-scale with database inputs,
-exactly the paper's own scaling trick).
+exactly the paper's own scaling trick).  An entry with fixed inputs has
+``default_scale=None``: its ``run`` accepts ``scale=`` and ignores it,
+and reports name no scale.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ class Experiment:
     run: Callable
     #: measured(result) -> {metric: value}, a superset of ``paper``.
     measured: Callable = lambda result: {}
-    default_scale: float = 1.0
+    #: None when the inputs are fixed (``run`` ignores ``scale``).
+    default_scale: Optional[float] = 1.0
     notes: str = ""
     #: One band per ``paper`` metric.
     tolerance: Dict[str, Tolerance] = field(default_factory=dict)
@@ -174,6 +177,12 @@ def paper_experiments() -> List[Experiment]:
     """The paper's own tables and figures (ids ``fig*`` and ``table*``)."""
     return [e for e in all_experiments()
             if e.experiment_id.startswith(("fig", "table"))]
+
+
+def ablation_experiments() -> List[Experiment]:
+    """The design-choice sweeps (ids ``ablation_*``)."""
+    return [e for e in all_experiments()
+            if e.experiment_id.startswith("ablation_")]
 
 
 def evaluate(experiment: Experiment, result) -> List[Outcome]:

@@ -2,8 +2,8 @@
 
 :func:`run_and_render` serves ``python -m repro.experiments`` (plain)
 and its ``--markdown`` report; :func:`summary` renders EXPERIMENTS.md's
-summary block of the paper's tables and figures, which
-:func:`write_summary` rewrites in place::
+generated blocks (:data:`BLOCKS`: the paper's tables and figures, and
+the ablations), which :func:`write_summary` rewrites in place::
 
     python -c "from repro.experiments.report_generator import write_summary; write_summary('EXPERIMENTS.md')"
 """
@@ -25,14 +25,16 @@ from ..metrics.results import BenchmarkResult
 from .registry import (
     Experiment,
     Outcome,
+    ablation_experiments,
     all_experiments,
     evaluate,
     paper_experiments,
 )
 
-#: EXPERIMENTS.md's generated block sits between these two lines.
-SUMMARY_BEGIN = "<!-- ledger:begin (generated; do not edit) -->"
-SUMMARY_END = "<!-- ledger:end -->"
+#: EXPERIMENTS.md's generated blocks: name -> the entries it renders.
+#: Block ``name`` sits between ``<!-- name:begin (generated; do not
+#: edit) -->`` and ``<!-- name:end -->``.
+BLOCKS = {"ledger": paper_experiments, "ablations": ablation_experiments}
 
 
 def _number(value: float) -> str:
@@ -80,14 +82,17 @@ def ledger_table(experiment: Experiment, result,
 
 
 def render(experiment: Experiment, result, outcomes: Sequence[Outcome],
-           scale: float, elapsed: float, markdown: bool = False) -> str:
-    """One experiment's result tables, ledger and notes."""
+           scale: Optional[float], elapsed: float,
+           markdown: bool = False) -> str:
+    """One experiment's result tables, ledger and notes; a ``None``
+    scale renders as fixed inputs."""
     if markdown:
+        inputs = "Fixed inputs" if scale is None else f"Scale {scale:g}"
         sections = [f"## {experiment.title}",
-                    f"Scale {scale:g}, wall time {elapsed:.1f} s."]
+                    f"{inputs}, wall time {elapsed:.1f} s."]
     else:
-        sections = [f"== {experiment.title} (scale={scale:g}, "
-                    f"{elapsed:.1f}s) =="]
+        inputs = "fixed inputs" if scale is None else f"scale={scale:g}"
+        sections = [f"== {experiment.title} ({inputs}, {elapsed:.1f}s) =="]
     sections += _result_tables(result, markdown)
     table = ledger_table(experiment, result, outcomes)
     sections.append(f"```\n{table}\n```" if markdown else table)
@@ -108,9 +113,13 @@ def run_and_render(experiment: Experiment, scale: Optional[float] = None,
     """Run ``experiment`` once, evaluate its checks and render both.
 
     ``collect``, if given, receives the measured metrics and check
-    outcomes keyed by experiment id (for ``--json``).
+    outcomes keyed by experiment id (for ``--json``).  ``scale`` applies
+    only to an experiment whose inputs scale; one with fixed inputs runs
+    and reports without a scale.
     """
-    chosen = experiment.default_scale if scale is None else scale
+    chosen = experiment.default_scale
+    if chosen is not None and scale is not None:
+        chosen = scale
     start = time.perf_counter()
     result = experiment.run(chosen)
     elapsed = time.perf_counter() - start
@@ -142,20 +151,32 @@ def write_report(path: str, scale: Optional[float] = None,
 
 
 def summary(runs: Sequence[Tuple[Experiment, Sequence[Outcome]]]) -> str:
-    """EXPERIMENTS.md's summary block: one row per paper metric, the
-    "k of N" line, each miss with its note, then the same for the
-    shape checks."""
-    checks = [(e.title.split(":")[0], e, o)
-              for e, outcomes in runs for o in outcomes]
+    """One generated block of EXPERIMENTS.md.
+
+    A table with one row per paper metric — or per shape check, when
+    the entries quote no paper number (the ablations) — then, for the
+    metrics and for the shape checks, the "k of N" line and each miss
+    with its note.
+    """
+    checks = [(e.title.split(":")[0] if e.paper else f"`{e.experiment_id}`",
+               e, o) for e, outcomes in runs for o in outcomes]
     metrics = [check for check in checks if check[2].paper is not None]
-    lines = ["| Experiment | Metric | Paper | Tolerance | Source | "
-             "Measured | |", "|---|---|---:|---|---|---:|---|"]
-    lines += [f"| {label} | {o.check} | {o.paper:g} | {o.claim} | "
-              f"{e.tolerance[o.check].source} | {_number(o.value)} | "
-              f"{'✓' if o.ok else '✗'} |" for label, e, o in metrics]
+    shapes = [check for check in checks if check[2].paper is None]
+    if metrics:
+        lines = ["| Experiment | Metric | Paper | Tolerance | Source | "
+                 "Measured | |", "|---|---|---:|---|---|---:|---|"]
+        lines += [f"| {label} | {o.check} | {o.paper:g} | {o.claim} | "
+                  f"{e.tolerance[o.check].source} | {_number(o.value)} | "
+                  f"{'✓' if o.ok else '✗'} |" for label, e, o in metrics]
+    else:
+        lines = ["| Entry | Check | Claim | Measured | |",
+                 "|---|---|---|---:|---|"]
+        lines += [f"| {label} | {o.check} | {o.claim} | {_number(o.value)} "
+                  f"| {'✓' if o.ok else '✗'} |" for label, e, o in shapes]
     for found, held in ((metrics, "metrics inside tolerance"),
-                        ([c for c in checks if c[2].paper is None],
-                         "shape checks hold")):
+                        (shapes, "shape checks hold")):
+        if not found:
+            continue
         misses = [f"- {label} · {o.check}: {_number(o.value)} against "
                   f"{o.claim}; {e.deviations.get(o.check, 'UNDOCUMENTED')}"
                   for label, e, o in found if not o.ok]
@@ -164,25 +185,27 @@ def summary(runs: Sequence[Tuple[Experiment, Sequence[Outcome]]]) -> str:
     return "\n".join(lines)
 
 
-def paper_runs() -> List[Tuple[Experiment, List[Outcome]]]:
-    """Run the paper's tables and figures at their default scales."""
-    return [(e, evaluate(e, e.run(e.default_scale)))
-            for e in paper_experiments()]
-
-
-def replace_summary(text: str, block: str) -> str:
-    """``text`` with its generated summary block replaced by ``block``."""
-    pattern = re.compile(re.escape(SUMMARY_BEGIN) + ".*?"
-                         + re.escape(SUMMARY_END), re.DOTALL)
-    if not pattern.search(text):
-        raise ValueError("no generated summary block to replace")
-    return pattern.sub(lambda _m: f"{SUMMARY_BEGIN}\n{block}\n{SUMMARY_END}",
-                       text)
+def replace_summaries(text: str, blocks: Dict[str, str]) -> str:
+    """``text`` with each generated block replaced by its rendering in
+    ``blocks`` (block name -> :func:`summary` output)."""
+    for name, block in blocks.items():
+        begin = f"<!-- {name}:begin (generated; do not edit) -->"
+        end = f"<!-- {name}:end -->"
+        pattern = re.compile(re.escape(begin) + ".*?" + re.escape(end),
+                             re.DOTALL)
+        if not pattern.search(text):
+            raise ValueError(f"no generated {name} block to replace")
+        text = pattern.sub(lambda _m: f"{begin}\n{block}\n{end}", text)
+    return text
 
 
 def write_summary(path: str) -> None:
-    """Regenerate the summary block of the markdown file at ``path``."""
+    """Run every entry of :data:`BLOCKS` at its default scale and
+    regenerate the blocks of the markdown file at ``path``."""
+    blocks = {name: summary([(e, evaluate(e, e.run(e.default_scale)))
+                             for e in entries()])
+              for name, entries in BLOCKS.items()}
     with open(path) as handle:
         text = handle.read()
     with open(path, "w") as handle:
-        handle.write(replace_summary(text, summary(paper_runs())))
+        handle.write(replace_summaries(text, blocks))

@@ -21,8 +21,8 @@ The knee comes from the adaptive search
 (:func:`repro.traffic.find_knee`): bisection over the 16-point rate
 grid costs at most 5 service simulations per configuration instead of
 16 — ≥3x fewer.  The exhaustive ``sweep_offered_load(spec,
-rates).knee()`` is its reference (the CI sweep-smoke step and the bench
-``sweep:*`` cells assert both return the same knee).
+rates).knee()`` is its reference (the CI sweep-smoke step and
+``tests/traffic/test_sweep.py`` assert both return the same knee).
 
 Deterministic end to end: arrival schedules are pure functions of the
 seed, and every path — adaptive, exhaustive sweep, cache-restored —

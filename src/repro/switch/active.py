@@ -71,6 +71,9 @@ class DegradationStats:
     fallback_messages: int = 0
     fallback_packets: int = 0
     quarantined_handlers: int = 0
+    #: Messages dropped because they had to degrade but name no
+    #: fallback destination (a collective's deadline recovers them).
+    dropped_messages: int = 0
 
 
 #: stage_payload result: the message crashed while this packet staged.
@@ -110,6 +113,8 @@ class ActiveSwitch(BaseSwitch):
         self._handler_health: Dict[int, int] = {}
         #: handler_id -> simulation time it was quarantined.
         self._quarantined: Dict[int, int] = {}
+        #: Degraded time of quarantines already lifted.
+        self._lifted_degraded_ps = 0
         self._invocations: Dict[int, int] = {}
         #: message_id -> fallback destination for surviving continuations.
         self._fallback_ids: Dict[int, str] = {}
@@ -124,8 +129,17 @@ class ActiveSwitch(BaseSwitch):
     # ------------------------------------------------------------------
     def register_handler(self, handler_id: int, handler: Callable,
                          replace: bool = False) -> None:
-        """Install ``handler(ctx)`` in the jump table."""
+        """Install ``handler(ctx)`` in the jump table.
+
+        A replacing install (a collective's retry epoch) lifts the
+        handler's quarantine: the fresh handler gets messages again.
+        Its crash count carries over, so one more crash quarantines it
+        anew.
+        """
         self.jump_table.register(handler_id, handler, replace=replace)
+        since = self._quarantined.pop(handler_id, None) if replace else None
+        if since is not None:
+            self._lifted_degraded_ps += self.env.now - since
 
     def register_flush(self, handler_id: int, flush: Callable) -> None:
         """Install a trusted drain hook run if ``handler_id`` is quarantined.
@@ -164,9 +178,11 @@ class ActiveSwitch(BaseSwitch):
 
     def degraded_time_ps(self) -> int:
         """Total handler-time spent degraded (sum over quarantined
-        handlers of time since each was quarantined)."""
+        handlers of time since each was quarantined, plus the spans of
+        quarantines already lifted)."""
         now = self.env.now
-        return sum(now - since for since in self._quarantined.values())
+        return self._lifted_degraded_ps + sum(
+            now - since for since in self._quarantined.values())
 
     # ------------------------------------------------------------------
     # ATB plumbing
@@ -219,15 +235,19 @@ class ActiveSwitch(BaseSwitch):
 
         The packet re-enters the conventional cut-through path toward
         the active header's ``fallback_dst`` — the host-side code that
-        can compute the result itself, slower but never wrong.
+        can compute the result itself, slower but never wrong.  A
+        message that names no fallback destination (a collective's
+        contribution) has nowhere to go: it is counted and dropped,
+        continuations included, and the collective's deadline retries
+        the epoch.
         """
         dst = packet.active.fallback_dst if packet.active is not None else None
         if dst is None:
             dst = self._fallback_ids.get(packet.message_id)
         if dst is None:
-            raise DispatchError(
-                f"{self.name}: cannot degrade message {packet.message_id} — "
-                f"its active header names no fallback_dst")
+            self.degradation.dropped_messages += 1
+            self._aborted.add(packet.message_id)
+            return
         if first:
             self.degradation.fallback_messages += 1
             if not packet.last:

@@ -256,58 +256,24 @@ def _sustained(result: ServiceResult, slo_ms: Optional[float],
 
 
 # ----------------------------------------------------------------------
-# Topology-derived client path lengths
-# ----------------------------------------------------------------------
-def _client_hops(kind: str, hosts: int) -> List[int]:
-    """Switch hops from each host to ``host0`` (the serving host).
-
-    Delegates to the per-process template cache
-    (:func:`repro.cluster.template.client_hops`), which wires the real
-    fabric once per (kind, hosts) and walks its routing tables.
-    """
-    from ..cluster.template import client_hops
-    return client_hops(kind, hosts)
-
-
-# ----------------------------------------------------------------------
 # The simulation
 # ----------------------------------------------------------------------
-def _stall(fn, hierarchy) -> int:
-    return fn(hierarchy) if fn is not None else 0
-
-
 def _summary(est: QuantileEstimator) -> Dict[str, float]:
     return est.summary(SERVICE_PERCENTILES)
 
 
-def build_service_app(spec: ServiceSpec):
-    """Build the (app spec, app) pair a service run simulates against.
-
-    Split out so callers that time the simulation (``repro.bench``) can
-    hoist the workload generation — amortised, not part of the
-    simulator hot path — out of the measured region, mirroring the
-    stream-app ``prepare_s`` methodology.
-    """
-    from ..runner.spec import make_spec
-
-    app_spec = make_spec(spec.app, preset=spec.preset,
-                         overrides=dict(spec.overrides), scale=spec.scale)
-    return app_spec, app_spec.build()
-
-
-def _simulate(spec: ServiceSpec, trace=None, prebuilt=None) -> ServiceResult:
+def _simulate(spec: ServiceSpec, trace=None) -> ServiceResult:
     """One deterministic open-loop run (the serial reference path).
 
-    ``prebuilt`` optionally supplies the ``(app_spec, app)`` pair from
-    :func:`build_service_app`; otherwise the per-process template cache
-    serves it, so sweep points at different rates share one built app.
-    The simulation itself is identical either way.
+    The per-process template cache serves the built app, so sweep
+    points at different rates share one build, and the fabric's client
+    hop counts, so they share one routing-table walk.
     """
+    from ..apps.base import _stall
     from ..cluster.system import System
-    from ..cluster.template import cached_service_app
+    from ..cluster.template import cached_service_app, client_hops
 
-    app_spec, app = (prebuilt if prebuilt is not None
-                     else cached_service_app(spec))
+    app_spec, app = cached_service_app(spec)
     config = replace(app_spec.base_config(app), seed=spec.seed)
     config = config.with_case_label(spec.case)
 
@@ -335,7 +301,7 @@ def _simulate(spec: ServiceSpec, trace=None, prebuilt=None) -> ServiceResult:
 
     # Client access paths: streams map round-robin onto the fabric's
     # non-serving hosts; hop counts come from real routing-table walks.
-    hops = _client_hops(spec.topology, spec.hosts)
+    hops = client_hops(spec.topology, spec.hosts)
     if spec.hosts > 1:
         stream_hops = [hops[1 + (s % (spec.hosts - 1))]
                        for s in range(spec.num_streams)]

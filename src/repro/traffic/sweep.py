@@ -153,7 +153,8 @@ class KneeSearch:
     ``sims`` counts simulations actually run, ``cache_hits`` the points
     restored from the result cache, and ``evaluations`` their sum (the
     number of distinct rate points consulted) — the accounting the
-    ``sweep:*`` bench cells and the ≥3x sims-per-knee gate read.
+    ``⌈log2(n+1)⌉`` sims-per-knee bound in ``tests/traffic/test_sweep.py``
+    and the repo benchmark's ``runner.knee_sims`` metric read.
     """
 
     spec: ServiceSpec

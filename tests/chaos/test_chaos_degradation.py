@@ -24,7 +24,7 @@ def _config(handler_faults):
                          faults=FaultPlan(handler=handler_faults))
 
 
-def _install_doubler(system):
+def _install_doubler(system, replace=False):
     """A handler that doubles the argument vector and ships it to host1."""
 
     def handler(ctx):
@@ -34,7 +34,7 @@ def _install_doubler(system):
         yield from ctx.deallocate(ctx.address + 512)
         yield from ctx.send("host1", len(doubled) * 4, payload=doubled)
 
-    system.switch.register_handler(H_DOUBLE, handler)
+    system.switch.register_handler(H_DOUBLE, handler, replace=replace)
 
 
 def _host_fallback(message):
@@ -139,6 +139,48 @@ def test_crash_without_fallback_is_contained_but_lossy():
     assert [m.payload for m in results] == [[v * 2 for v in VECTOR]]
     assert system.switch.degradation.contained_crashes == 1
     assert system.switch.degradation.fallback_messages == 0
+
+
+def test_quarantine_without_fallback_drops_until_a_fresh_install():
+    """A quarantined handler's message that names no fallback route has
+    nowhere to degrade to: the switch counts and drops it, continuation
+    packets included, instead of raising.  Installing a fresh handler
+    (as a collective's retry epoch does) lifts the quarantine."""
+    system = System(_config(HandlerFaults(
+        crash_invocations=((H_DOUBLE, 0), (H_DOUBLE, 1)))))
+    _install_doubler(system)
+    env, switch = system.env, system.switch
+
+    def send(size_bytes):
+        yield from system.hosts[0].hca.send(
+            "sw0", size_bytes,
+            active=ActiveHeader(handler_id=H_DOUBLE, address=0),
+            payload=list(VECTOR))
+        yield env.timeout(us(200))
+
+    def sender(env):
+        for _ in range(2):
+            yield from send(512)
+        assert switch.quarantined(H_DOUBLE)
+        yield from send(1024)
+        assert switch.degradation.dropped_messages == 1
+        _install_doubler(system, replace=True)
+        assert not switch.quarantined(H_DOUBLE)
+        yield from send(512)
+
+    _, _, receiver, results = _run(system, num_messages=0)
+    env.process(sender(env))
+    proc = env.process(receiver(env, expected=1))
+    env.run(until=proc)
+
+    assert [m.payload for m in results] == [[v * 2 for v in VECTOR]]
+    degradation = switch.degradation
+    assert degradation.contained_crashes == 2
+    assert degradation.quarantined_handlers == 1
+    assert degradation.dropped_messages == 1
+    assert degradation.fallback_messages == 0
+    assert switch.degraded_time_ps() > 0
+    assert switch.buffers.in_use == 0
 
 
 def test_crash_on_multi_packet_message_reassembles_at_fallback():

@@ -265,6 +265,25 @@ def test_crashed_combine_handler_retries_the_epoch_not_deadlocks():
     assert done["latency_ps"] > FailStopFaults().collective_timeout_ps
 
 
+def test_retry_epoch_lifts_a_quarantined_combine_handler():
+    """Two scripted crashes quarantine each placed switch's combine
+    handler and lose their contributions.  The deadline's retry epoch
+    installs fresh handlers, which lifts the quarantine, so the re-sent
+    contributions are combined and the collective completes with the
+    oracle vector."""
+    plan = FaultPlan(handler=HandlerFaults(
+        crash_invocations=((H_COMBINE, 0), (H_COMBINE, 1))))
+    env, fabric = _fat_tree(injector=FaultInjector(plan, seed=0))
+    vectors = _make_vectors(len(fabric.hosts))
+    done = run_placed_reduction(fabric, plan_placement(fabric, "per_level"),
+                                vectors)
+    assert done["result"] == _oracle(vectors)
+    assert done["attempts"] == 3  # the spine's crashes land in attempt 2
+    switches = [node.switch for node in fabric.switches]
+    assert sum(s.degradation.quarantined_handlers for s in switches) == 9
+    assert not any(s.quarantined(H_COMBINE) for s in switches)
+
+
 def test_chaos_reduce_through_the_front_door_completes():
     import repro
     result = repro.run("reduce", topology="tree", hosts=64,

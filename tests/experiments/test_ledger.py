@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import all_experiments, evaluate, get
-from repro.experiments.registry import bounded, paper_experiments, quoted
-from repro.experiments.report_generator import replace_summary, summary
+from repro.experiments.registry import bounded, quoted
+from repro.experiments.report_generator import (BLOCKS, replace_summaries,
+                                                summary)
 
 SLOW = {"ext_fabric_scale", "ext_fabric_availability", "ext_service_slo"}
 
@@ -46,11 +47,13 @@ def test_ledger(experiment_id, outcomes_of):
 
 
 def test_experiments_md_summary_is_generated(outcomes_of):
-    """EXPERIMENTS.md's summary block is the renderer's output, byte for
-    byte.  Regenerate it with ``write_summary('EXPERIMENTS.md')``."""
-    runs = [(e, outcomes_of(e)) for e in paper_experiments()]
+    """EXPERIMENTS.md's generated blocks — the paper's tables and
+    figures, and the ablations — are the renderer's output, byte for
+    byte.  Regenerate them with ``write_summary('EXPERIMENTS.md')``."""
+    blocks = {name: summary([(e, outcomes_of(e)) for e in entries()])
+              for name, entries in BLOCKS.items()}
     text = EXPERIMENTS_MD.read_text()
-    assert replace_summary(text, summary(runs)) == text
+    assert replace_summaries(text, blocks) == text
 
 
 def test_tolerances_come_from_the_quoted_precision():

@@ -128,6 +128,34 @@ def test_main_json_output(tmp_path, capsys):
     assert data["table1"]["paper"]["applications"] == 8
 
 
+def test_every_run_accepts_a_scale():
+    import inspect
+    for exp in all_experiments():
+        assert "scale" in inspect.signature(exp.run).parameters, \
+            exp.experiment_id
+
+
+def test_scale_is_reported_only_where_the_inputs_scale(tmp_path, capsys):
+    """``--scale`` reaches an entry whose inputs scale; an entry with
+    fixed inputs runs them and names no scale, in its header or JSON."""
+    import json
+    from repro.experiments.__main__ import main
+    fixed = ["table1", "table2", "ablation_buffer_count",
+             "ablation_noninterference", "ablation_vector_size"]
+    assert all(get(eid).default_scale is None for eid in fixed)
+    out_path = tmp_path / "results.json"
+    assert main(["--scale", "0.001", "table2", "ablation_buffer_count",
+                 "ablation_selectivity", "--json", str(out_path)]) == 0
+    headers = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("== ")]
+    assert [h.split(" (")[-1].split(",")[0] for h in headers] == [
+        "fixed inputs", "fixed inputs", "scale=0.001"]
+    data = json.loads(out_path.read_text())
+    assert data["table2"]["scale"] is None
+    assert data["ablation_buffer_count"]["scale"] is None
+    assert data["ablation_selectivity"]["scale"] == 0.001
+
+
 def test_main_runs_an_ablation_entry(capsys):
     from repro.experiments.__main__ import main
     assert main(["ablation_noninterference"]) == 0
