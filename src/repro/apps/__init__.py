@@ -9,8 +9,8 @@ from .reduction import (
     DISTRIBUTED,
     REDUCE_TO_ALL,
     REDUCE_TO_ONE,
+    FabricReduceApp,
     reduction_sweep,
-    run_reduction_point,
 )
 from .select import SelectApp
 from .sort import SortApp
@@ -31,8 +31,8 @@ __all__ = [
     "DISTRIBUTED",
     "REDUCE_TO_ALL",
     "REDUCE_TO_ONE",
+    "FabricReduceApp",
     "reduction_sweep",
-    "run_reduction_point",
     "SelectApp",
     "SortApp",
     "TarApp",

@@ -1,25 +1,35 @@
-"""Collective reduction benchmarks (paper Section 5, Figures 15/16 and
-Table 2).
+"""Collective reductions: ``repro.run("reduce", ...)`` (paper Section 5,
+Figures 15/16 and Table 2, and the scale-out fabrics).
 
-Three reduction flavours combine one vector per compute node with an
-associative operation; they differ in where the result goes:
+Every host contributes one vector; the collective combines them with
+an associative operation (addition mod 2^32).  ``mode`` picks where the
+result goes, the paper's Table 2 semantics:
 
-* **Reduce-to-one** — the full result lands on node 0;
-* **Distributed Reduce** — node i gets the i-th slice of the result;
-* (Reduce-to-all behaves like Reduce-to-one per the paper and is
-  provided for completeness.)
+* **Reduce-to-one** — the whole result lands on host 0;
+* **Distributed Reduce** — host i gets the i-th slice of the result;
+* **Reduce-to-all** — every host gets the whole result.
 
-Normal baseline: a minimum-spanning-tree (binomial) software reduction —
-``ceil(log2 p)`` rounds of (send, poll, add) between hosts, the
-textbook lower bound ``ceil(log2 p)) * (alpha + lambda)``.  Active: the
-placement engine's ``per_level`` plan (:mod:`repro.cluster.placement`)
-on a ``TopologySpec("tree")`` fabric — each host fires its vector at
-its leaf switch as an *active message*; leaf handlers combine 8 vectors
-and forward one partial up the switch tree; the root delivers (or
-redistributes) the result.  This is fully simulated at packet level
-through the real ActiveSwitch machinery — dispatch, data buffers, ATB,
-send unit — and the vectors are really added, so the result is checked
-numerically against the oracle.
+:class:`FabricReduceApp` maps the harness's four configurations onto
+one collective over a declarative fabric (``TopologySpec``):
+
+normal / normal+pref
+    Host-only software reduction — the minimum-spanning-tree (binomial)
+    baseline, ``ceil(log2 p)`` rounds of (send, poll, add) between
+    hosts, running *over the same fabric* (messages really transit the
+    switches).  Distributed Reduce on a power-of-two host count is a
+    recursive-halving reduce-scatter instead.  Prefetch has no meaning
+    for a collective; both labels run the identical baseline.
+active / active+pref
+    In-network aggregation with the requested handler ``placement``
+    (``root_only``, ``leaf_combine``, ``per_level``) installed by the
+    placement engine (:mod:`repro.cluster.placement`) on the fabric's
+    active switches: hosts fire their vectors at their entry switches
+    as active messages, handlers fold and forward partials up the
+    tree, and the finalize switch delivers per ``mode``.
+
+Both are fully simulated at packet level with the vectors really added,
+and every run checks the hosts' result against the oracle — so the
+active result is bit-identical to the host-only one.
 
 Cost model: vector add at 3 cycles/word on the host (load-load-add-
 store on the single-issue core, some ILP) and 2 cycles/word on the
@@ -28,23 +38,42 @@ software (an MPI-style reduction library over the queue-pair interface,
 with polling receives) costs ~10 us per posted send and ~18 us per
 polled receive — this is the alpha that dominates the MST baseline and
 that the paper's switch-side reduction eliminates.
+
+Examples::
+
+    repro.run("reduce", topology="fat_tree", hosts=64,
+              placement="per_level")
+    repro.run("reduce", hosts=128, mode="distributed",
+              cases=("normal", "active"))
+
+Fault plans flow through unchanged: a config with ``faults`` enabled
+builds the fabric with a :class:`~repro.faults.FaultInjector` attached
+to every link and switch, and the result's ``extra`` reports what was
+injected and how the links and switches recovered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+import random
+from dataclasses import replace
+from typing import Dict, List, Optional
 
+from ..cluster.config import ClusterConfig
 from ..cluster.fabric import Fabric, TopologySpec, build_fabric
-from ..cluster.placement import (DISTRIBUTED, REDUCE_TO_ALL, REDUCE_TO_ONE,
-                                 plan_placement, run_placed_reduction)
+from ..cluster.placement import (DISTRIBUTED, PLACEMENT_POLICIES,
+                                 REDUCE_TO_ALL, REDUCE_TO_ONE,
+                                 REDUCTION_MODES, plan_placement,
+                                 run_placed_reduction)
+from ..cluster.system import fault_counters
+from ..metrics.results import CaseResult
 from ..net.hca import HcaConfig
+from ..obs.registry import MetricsRegistry
+from ..runner.api import run
 from ..sim.core import Environment
 from ..sim.units import us
 
 #: Paper vector size.
 VECTOR_BYTES = 512
-WORDS = VECTOR_BYTES // 4
 
 #: Host-side costs.
 HOST_ADD_CYCLES_PER_WORD = 3
@@ -54,24 +83,12 @@ REDUCTION_HCA = HcaConfig(send_overhead_ps=us(10), recv_poll_ps=us(18),
                           per_packet_ps=us(0.1))
 
 
-@dataclass
-class ReductionResult:
-    """Latency of one (p, mode, system) point."""
-
-    mode: str
-    num_hosts: int
-    active: bool
-    latency_ps: int
-    result_vector: List[int]
-
-
 def _oracle(vectors: List[List[int]]) -> List[int]:
     return [sum(column) & 0xFFFFFFFF for column in zip(*vectors)]
 
 
 def _make_vectors(num_hosts: int, seed: int = 3,
                   vector_bytes: int = VECTOR_BYTES) -> List[List[int]]:
-    import random
     rng = random.Random(seed)
     words = vector_bytes // 4
     return [[rng.randrange(1 << 16) for _ in range(words)]
@@ -89,8 +106,14 @@ def _mst_rounds(num_hosts: int) -> int:
 
 
 def run_normal_reduction(fabric: Fabric, vectors: List[List[int]],
-                         mode: str) -> ReductionResult:
-    """Binomial reduce (plus scatter/broadcast for the other modes)."""
+                         mode: str = REDUCE_TO_ONE) -> Dict:
+    """Binomial reduce (plus scatter/broadcast for the other modes).
+
+    Returns ``{"result": [...], "latency_ps": ...}`` like
+    :func:`~repro.cluster.placement.run_placed_reduction`: ``result``
+    is host 0's vector, or — for a reduce-scatter — every host's kept
+    slice concatenated in host order.
+    """
     env = fabric.env
     hosts = fabric.hosts
     p = len(hosts)
@@ -98,6 +121,8 @@ def run_normal_reduction(fabric: Fabric, vectors: List[List[int]],
     local = [list(v) for v in vectors]
     words = len(vectors[0])
     vector_bytes = words * 4
+    scatter = mode == DISTRIBUTED and p & (p - 1) == 0 and p > 1
+    kept = [(0, words)] * p
 
     def add_into(host, mine: List[int], incoming: List[int], lo: int,
                  hi: int):
@@ -108,7 +133,7 @@ def run_normal_reduction(fabric: Fabric, vectors: List[List[int]],
                 stall += host.hierarchy.load(0x3000_0000 + w * 4)
         yield from host.cpu.work((hi - lo) * HOST_ADD_CYCLES_PER_WORD, stall)
 
-    def host_proc_reduce_to_one(i: int, full_result: bool):
+    def host_proc_reduce_to_one(i: int):
         host = hosts[i]
         # Binomial tree toward host 0.
         for k in range(rounds):
@@ -120,7 +145,7 @@ def run_normal_reduction(fabric: Fabric, vectors: List[List[int]],
             if i % (2 * step) == 0 and i + step < p:
                 message = yield from host.hca.poll_receive()
                 yield from add_into(host, local[i], message.payload, 0, words)
-        if full_result and mode == REDUCE_TO_ALL:
+        if mode == REDUCE_TO_ALL:
             # Binomial broadcast back down.
             for k in reversed(range(rounds)):
                 step = 1 << k
@@ -143,8 +168,6 @@ def run_normal_reduction(fabric: Fabric, vectors: List[List[int]],
         for k in reversed(range(rounds)):
             step = 1 << k
             partner = i ^ step
-            if partner >= p:
-                continue
             mid = (lo + hi) // 2
             keep_low = (i & step) == 0
             send_lo, send_hi = (mid, hi) if keep_low else (lo, mid)
@@ -156,76 +179,165 @@ def run_normal_reduction(fabric: Fabric, vectors: List[List[int]],
             yield from add_into(host, local[i], message.payload,
                                 keep_lo, keep_hi)
             lo, hi = keep_lo, keep_hi
+        kept[i] = (lo, hi)
 
-    def host_proc(i: int):
-        if mode == DISTRIBUTED and p & (p - 1) == 0 and p > 1:
-            yield from host_proc_reduce_scatter(i)
-        else:
-            yield from host_proc_reduce_to_one(
-                i, full_result=(mode == REDUCE_TO_ALL))
-
+    host_proc = host_proc_reduce_scatter if scatter \
+        else host_proc_reduce_to_one
     procs = [env.process(host_proc(i), name=f"mst-{i}") for i in range(p)]
     env.run(until=env.all_of(procs))
-    return ReductionResult(mode=mode, num_hosts=p, active=False,
-                           latency_ps=env.now, result_vector=local[0])
+    result = ([word for i, (lo, hi) in enumerate(kept)
+               for word in local[i][lo:hi]] if scatter else local[0])
+    return {"result": result, "latency_ps": env.now}
 
 
 # ----------------------------------------------------------------------
-# Active: per-level in-switch aggregation on the placement engine
+# The one reduction driver
 # ----------------------------------------------------------------------
-def run_active_reduction(fabric: Fabric, vectors: List[List[int]],
-                         mode: str) -> ReductionResult:
-    """Switch-tree reduction: fully packet-level."""
-    done = run_placed_reduction(fabric, plan_placement(fabric, "per_level"),
-                                vectors, mode=mode)
-    return ReductionResult(mode=mode, num_hosts=len(fabric.hosts),
-                           active=True, latency_ps=done["latency_ps"],
-                           result_vector=done["result"])
+class FabricReduceApp:
+    """One collective over a multi-stage fabric, placement-parameterized.
 
+    Not a :class:`~repro.apps.StreamApp` — there is no disk stream; the
+    app owns its whole ``run_case`` and builds the fabric itself.  The
+    constructor parameters are all hashable, so specs fingerprint and
+    cache like any other registered application.
+    """
 
-# ----------------------------------------------------------------------
-# The experiment: latency vs node count (Figures 15 and 16)
-# ----------------------------------------------------------------------
-def _build_tree(num_hosts: int) -> Fabric:
-    return build_fabric(Environment(), TopologySpec("tree", num_hosts),
-                        hca_config=REDUCTION_HCA)
+    name = "reduce"
 
+    def __init__(self, topology: str = "tree", hosts: int = 64,
+                 placement: str = "per_level", hosts_per_leaf: int = 8,
+                 switch_ports: int = 16, vector_bytes: int = VECTOR_BYTES,
+                 radix: Optional[int] = None, spines: Optional[int] = None,
+                 oversubscription: float = 2.0, data_seed: int = 3,
+                 mode: str = REDUCE_TO_ONE):
+        if placement not in PLACEMENT_POLICIES:
+            raise ValueError(
+                f"unknown placement {placement!r}; "
+                f"expected one of {PLACEMENT_POLICIES}")
+        if mode not in REDUCTION_MODES:
+            raise ValueError(f"unknown reduction mode {mode!r}; "
+                             f"expected one of {REDUCTION_MODES}")
+        if vector_bytes < 4 or vector_bytes % 4:
+            raise ValueError("vector_bytes must be a positive multiple of 4")
+        self.placement = placement
+        self.mode = mode
+        self.vector_bytes = vector_bytes
+        self.data_seed = data_seed
+        # Constructing the spec validates the shape parameters eagerly,
+        # so a bad grid point fails at spec time, not mid-simulation.
+        self.spec = TopologySpec(
+            kind=topology, num_hosts=hosts, hosts_per_leaf=hosts_per_leaf,
+            switch_ports=switch_ports, radix=radix, spines=spines,
+            oversubscription=oversubscription)
 
-def run_reduction_point(num_hosts: int, mode: str, active: bool,
-                        seed: int = 3,
-                        vector_bytes: int = VECTOR_BYTES) -> ReductionResult:
-    """One latency measurement on a fresh fabric."""
-    vectors = _make_vectors(num_hosts, seed=seed, vector_bytes=vector_bytes)
-    fabric = _build_tree(num_hosts)
-    if active:
-        result = run_active_reduction(fabric, vectors, mode)
-    else:
-        result = run_normal_reduction(fabric, vectors, mode)
-    # The MST reduce-scatter leaves host 0 holding only its own slice.
-    if active or mode != DISTRIBUTED:
-        if list(result.result_vector) != _oracle(vectors):
+    # ------------------------------------------------------------------
+    def cluster_config(self) -> ClusterConfig:
+        return ClusterConfig(num_hosts=self.spec.num_hosts,
+                             hca=REDUCTION_HCA)
+
+    # ------------------------------------------------------------------
+    def run_case(self, config: ClusterConfig, trace=None,
+                 metrics_sink: Optional[dict] = None) -> CaseResult:
+        env = Environment()
+        if trace is not None:
+            env.trace = trace
+        env.add_context(app=self.name, config=config.case_label)
+
+        injector = None
+        if config.faults is not None and config.faults.enabled:
+            from ..faults import FaultInjector
+            from ..faults.plan import FailStopFaults
+            plan = config.faults
+            if not config.active and plan.failstop.enabled:
+                # The MST baseline has no end-to-end recovery: a switch
+                # killed mid-round would deadlock a receiver forever.
+                # The normal cases therefore measure the failure-free
+                # baseline (transient faults still apply), which is the
+                # reference the availability comparison needs anyway.
+                plan = replace(plan, failstop=FailStopFaults())
+            injector = FaultInjector(plan, seed=config.seed)
+            env.add_context_provider(injector.failure_context)
+
+        fabric = build_fabric(env, self.spec, cluster_config=config,
+                              hca_config=config.hca, injector=injector)
+        fabric.validate()
+        vectors = _make_vectors(self.spec.num_hosts, seed=self.data_seed,
+                                vector_bytes=self.vector_bytes)
+        metrics = MetricsRegistry()
+        metrics.register("sim.event_count", lambda: env.event_count)
+        metrics.register("sim.now_ps", lambda: env.now)
+        if fabric.failstop_armed:
+            fabric.register_metrics(metrics)
+
+        extra: Dict[str, float] = {}
+        switch_breakdowns = []
+        if config.active:
+            plan = plan_placement(fabric, self.placement)
+            done = run_placed_reduction(fabric, plan, vectors,
+                                        metrics=metrics, mode=self.mode)
+            extra["placement_instances"] = float(plan.instances)
+            if "attempts" in done:
+                extra["collective_attempts"] = float(done["attempts"])
+                extra["collective_repairs"] = float(done["repairs"])
+            extra.update(metrics.snapshot("fabric"))
+            placed = set(plan.placements)
+            switch_breakdowns = [
+                cpu.accounting.finalize(env.now)
+                for node in fabric.switches if node.name in placed
+                for cpu in node.switch.cpus]
+        else:
+            done = run_normal_reduction(fabric, vectors, self.mode)
+        if done["result"] != _oracle(vectors):
             raise AssertionError(
-                f"{mode} ({'active' if active else 'normal'}, p={num_hosts}): "
-                "reduction result does not match the oracle")
-    return result
+                f"{self.mode} ({config.case_label}, {self.spec.kind}, "
+                f"p={self.spec.num_hosts}, {self.placement}): result "
+                f"does not match the oracle")
+
+        exec_ps = env.now
+        extra["fabric_depth"] = float(fabric.depth)
+        extra["fabric_switches"] = float(len(fabric.switches))
+        if injector is not None:
+            extra.update(fault_counters(
+                fabric.links.values(),
+                [node.switch for node in fabric.switches]))
+            if fabric.failstop_armed:
+                extra["failstop_switch_kills"] = float(fabric.ft.switch_kills)
+                extra["failstop_link_kills"] = float(fabric.ft.link_kills)
+                for name, value in metrics.snapshot("fabric").items():
+                    extra.setdefault(name, value)
+            extra.update(injector.snapshot())
+        if metrics_sink is not None:
+            metrics_sink.update(metrics.snapshot())
+
+        host = fabric.hosts[0]
+        return CaseResult(
+            label=config.case_label,
+            exec_ps=exec_ps,
+            host=host.cpu.accounting.finalize(exec_ps),
+            switch_cpus=switch_breakdowns,
+            host_bytes_in=host.hca.traffic.bytes_in,
+            host_bytes_out=host.hca.traffic.bytes_out,
+            extra=extra,
+        )
+
+
+# ----------------------------------------------------------------------
+# Sweeps (Figures 15/16 and the vector-size extension)
+# ----------------------------------------------------------------------
+def reduce_speedup(**params) -> Dict[str, float]:
+    """Normal vs active latency of one ``repro.run("reduce", **params)``."""
+    cases = run("reduce", cases=("normal", "active"), **params).cases
+    normal, active = cases["normal"].exec_ps, cases["active"].exec_ps
+    return {"normal_us": normal / 1e6, "active_us": active / 1e6,
+            "speedup": normal / active}
 
 
 def reduction_sweep(mode: str, node_counts=(2, 4, 8, 16, 32, 64, 128),
                     vector_bytes: int = VECTOR_BYTES):
     """Latency and speedup vs node count — one figure's data series."""
-    rows = []
-    for p in node_counts:
-        normal = run_reduction_point(p, mode, active=False,
-                                     vector_bytes=vector_bytes)
-        active = run_reduction_point(p, mode, active=True,
-                                     vector_bytes=vector_bytes)
-        rows.append({
-            "nodes": p,
-            "normal_us": normal.latency_ps / 1e6,
-            "active_us": active.latency_ps / 1e6,
-            "speedup": normal.latency_ps / active.latency_ps,
-        })
-    return rows
+    return [{"nodes": p, **reduce_speedup(hosts=p, mode=mode,
+                                          vector_bytes=vector_bytes)}
+            for p in node_counts]
 
 
 def vector_size_sweep(mode: str = REDUCE_TO_ONE, num_hosts: int = 64,
@@ -239,16 +351,6 @@ def vector_size_sweep(mode: str = REDUCE_TO_ONE, num_hosts: int = 64,
     exercise the ATB's conflict backpressure (a 8 KB vector spans 16
     regions — the whole direct-mapped reach).
     """
-    rows = []
-    for vector_bytes in sizes:
-        normal = run_reduction_point(num_hosts, mode, active=False,
-                                     vector_bytes=vector_bytes)
-        active = run_reduction_point(num_hosts, mode, active=True,
-                                     vector_bytes=vector_bytes)
-        rows.append({
-            "vector_bytes": vector_bytes,
-            "normal_us": normal.latency_ps / 1e6,
-            "active_us": active.latency_ps / 1e6,
-            "speedup": normal.latency_ps / active.latency_ps,
-        })
-    return rows
+    return [{"vector_bytes": size,
+             **reduce_speedup(hosts=num_hosts, mode=mode, vector_bytes=size)}
+            for size in sizes]

@@ -18,7 +18,7 @@ Two datapaths coexist:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import heapq
 from dataclasses import replace
@@ -33,6 +33,50 @@ from ..switch.active import ActiveSwitch
 from ..switch.base import BaseSwitch
 from .config import ClusterConfig
 from .node import ComputeNode, StorageNode
+
+
+def fault_counters(links: Iterable[Link],
+                   switches: Iterable[BaseSwitch]) -> Dict[str, float]:
+    """Link recovery and active-switch degradation counters, summed.
+
+    One report vocabulary for a :class:`System` (its host and storage
+    links, its one switch) and a fabric (every link, every switch).
+    Link retransmits, drops and corruptions always appear; counters
+    that only fail-stop faults or an unrecoverable degradation move
+    appear only when non-zero, so transient-only reports keep their
+    key set.  The degradation block appears when some switch is active.
+    """
+    stats = [link.stats for link in links]
+    report = {
+        "link_retransmits": float(sum(s.retransmits for s in stats)),
+        "link_packets_dropped": float(sum(s.packets_dropped for s in stats)),
+        "link_packets_corrupted": float(
+            sum(s.packets_corrupted for s in stats)),
+    }
+    capped = sum(s.capped_backoffs for s in stats)
+    abandoned = sum(s.packets_abandoned for s in stats)
+    if capped:
+        report["link_capped_backoffs"] = float(capped)
+    if abandoned:
+        report["link_packets_abandoned"] = float(abandoned)
+    active = [s for s in switches if isinstance(s, ActiveSwitch)]
+    if not active:
+        return report
+    degradation = [s.degradation for s in active]
+    report["handler_contained_crashes"] = float(
+        sum(d.contained_crashes for d in degradation))
+    report["handler_quarantined"] = float(
+        sum(d.quarantined_handlers for d in degradation))
+    report["atb_corruptions"] = float(
+        sum(d.atb_corruptions for d in degradation))
+    report["fallback_messages"] = float(
+        sum(d.fallback_messages for d in degradation))
+    report["degraded_time_ps"] = float(
+        sum(s.degraded_time_ps() for s in active))
+    dropped = sum(d.dropped_messages for d in degradation)
+    if dropped:
+        report["dropped_messages"] = float(dropped)
+    return report
 
 
 class System:
@@ -238,24 +282,9 @@ class System:
             report["trace_events_dropped"] = float(trace_dropped)
         if self.injector is None:
             return report
-        retransmits = dropped = corrupted = 0
-        capped = abandoned = 0
-        for to_switch, from_switch in self._links.values():
-            for link in (to_switch, from_switch):
-                retransmits += link.stats.retransmits
-                dropped += link.stats.packets_dropped
-                corrupted += link.stats.packets_corrupted
-                capped += link.stats.capped_backoffs
-                abandoned += link.stats.packets_abandoned
-        report["link_retransmits"] = float(retransmits)
-        report["link_packets_dropped"] = float(dropped)
-        report["link_packets_corrupted"] = float(corrupted)
-        # Fail-stop counters only appear when the machinery fired, so
-        # transient-only chaos reports keep their pre-1.5 key set.
-        if capped:
-            report["link_capped_backoffs"] = float(capped)
-        if abandoned:
-            report["link_packets_abandoned"] = float(abandoned)
+        report.update(fault_counters(
+            [link for pair in self._links.values() for link in pair],
+            [self.switch]))
         ports_failed = self.switch.stats.ports_failed
         tx_abandoned = self.switch.stats.tx_abandoned
         if ports_failed:
@@ -270,15 +299,6 @@ class System:
             sum(node.scsi.stats.parity_errors for node in self.storage_nodes))
         report["scsi_retries"] = float(
             sum(node.scsi.stats.retries for node in self.storage_nodes))
-        if isinstance(self.switch, ActiveSwitch):
-            degradation = self.switch.degradation
-            report["handler_contained_crashes"] = float(
-                degradation.contained_crashes)
-            report["handler_quarantined"] = float(
-                degradation.quarantined_handlers)
-            report["atb_corruptions"] = float(degradation.atb_corruptions)
-            report["fallback_messages"] = float(degradation.fallback_messages)
-            report["degraded_time_ps"] = float(self.switch.degraded_time_ps())
         report.update(self.injector.snapshot())
         return report
 

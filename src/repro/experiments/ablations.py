@@ -14,17 +14,8 @@ from typing import Dict, List
 
 from ..apps.grep import GrepApp
 from ..apps.md5 import Md5App
-from ..apps.reduction import (
-    REDUCE_TO_ONE,
-    REDUCTION_HCA,
-    _make_vectors,
-    run_active_reduction,
-    run_normal_reduction,
-    vector_size_sweep,
-)
+from ..apps.reduction import REDUCTION_HCA, reduce_speedup, vector_size_sweep
 from ..apps.select import SelectApp
-from ..cluster.config import ClusterConfig
-from ..cluster.fabric import TopologySpec, build_fabric
 from ..cluster.iostream import ReadStream
 from ..cluster.system import System
 from ..net import ActiveHeader, ChannelAdapter, Link, Message
@@ -61,16 +52,14 @@ def ablate_cut_through(scale: float = 1.0) -> Dict[str, float]:
 def ablate_buffer_count(num_hosts: int = 8,
                         counts=(2, 4, 8, 16)) -> List[dict]:
     """Latency of an 8-way leaf reduction vs available data buffers."""
+    from ..runner.api import run
+
     rows = []
     for count in counts:
-        config = ClusterConfig(
-            active_switch=ActiveSwitchConfig(num_buffers=count))
-        fabric = build_fabric(Environment(), TopologySpec("tree", num_hosts),
-                              cluster_config=config, hca_config=REDUCTION_HCA)
-        vectors = _make_vectors(num_hosts)
-        result = run_active_reduction(fabric, vectors, REDUCE_TO_ONE)
-        rows.append({"buffers": count,
-                     "latency_us": result.latency_ps / 1e6})
+        case = run("reduce", hosts=num_hosts, cases=("active",),
+                   overrides={"active_switch": ActiveSwitchConfig(
+                       num_buffers=count)}).cases["active"]
+        rows.append({"buffers": count, "latency_us": case.exec_ps / 1e6})
     return rows
 
 
@@ -377,28 +366,13 @@ def ablate_receive_discipline(num_hosts: int = 64):
     path, widening the active system's win — quantifying how much the
     paper's choice of polling *understates* the benefit.
     """
-    results = {}
-    spec = TopologySpec("tree", num_hosts)
-    for mode_name, hca in (
-            ("polling", REDUCTION_HCA),
-            ("interrupt", replace(REDUCTION_HCA,
-                                  receive_mode="interrupt",
-                                  interrupt_cost_ps=30_000_000))):
-        # 30 us per interrupt-driven receive: trap + handler + wakeup on
-        # a 2003 kernel, vs the 18 us user-level completion poll.
-        vectors = _make_vectors(num_hosts)
-        normal = run_normal_reduction(
-            build_fabric(Environment(), spec, hca_config=hca), vectors,
-            REDUCE_TO_ONE)
-        active = run_active_reduction(
-            build_fabric(Environment(), spec, hca_config=hca), vectors,
-            REDUCE_TO_ONE)
-        results[mode_name] = {
-            "normal_us": normal.latency_ps / 1e6,
-            "active_us": active.latency_ps / 1e6,
-            "speedup": normal.latency_ps / active.latency_ps,
-        }
-    return results
+    # 30 us per interrupt-driven receive: trap + handler + wakeup on a
+    # 2003 kernel, vs the 18 us user-level completion poll.
+    interrupt = replace(REDUCTION_HCA, receive_mode="interrupt",
+                        interrupt_cost_ps=30_000_000)
+    return {name: reduce_speedup(hosts=num_hosts, overrides={"hca": hca})
+            for name, hca in (("polling", REDUCTION_HCA),
+                              ("interrupt", interrupt))}
 
 
 # ----------------------------------------------------------------------

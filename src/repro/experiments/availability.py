@@ -29,11 +29,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..apps.reduction import REDUCTION_HCA, _make_vectors, _oracle
-from ..cluster.fabric import TopologySpec, build_fabric
-from ..cluster.placement import plan_placement, run_placed_reduction
-from ..faults import FailStopEvent, FailStopFaults, FaultInjector, FaultPlan
-from ..sim.core import Environment
+from ..faults import FailStopEvent, FailStopFaults, FaultPlan
+from ..runner.api import run
 from ..sim.units import us
 from .registry import Experiment, bounded, register
 
@@ -45,55 +42,43 @@ KILL_TIMES_US = (None, 10, 15, 20, 30)
 COLLECTIVE_TIMEOUT_PS = us(200)
 
 
-def _one_point(num_hosts: int, kill_at_us) -> Dict:
-    env = Environment()
-    # 256 hosts overflow a 16-port spine (32 leaves); use the 32-port
-    # building block there, paper-sized switches below.
-    if num_hosts > 128:
-        spec = TopologySpec(kind="fat_tree", num_hosts=num_hosts,
-                            hosts_per_leaf=16, switch_ports=32)
-    else:
-        spec = TopologySpec(kind="fat_tree", num_hosts=num_hosts)
-    injector = None
-    if kill_at_us is not None:
-        plan = FaultPlan(failstop=FailStopFaults(
-            events=(FailStopEvent(kind="switch_down", target="spine0",
-                                  at_ps=us(kill_at_us)),),
-            collective_timeout_ps=COLLECTIVE_TIMEOUT_PS))
-        injector = FaultInjector(plan, seed=7)
-    fabric = build_fabric(env, spec, hca_config=REDUCTION_HCA,
-                          injector=injector)
-    vectors = _make_vectors(num_hosts)
-    placement = plan_placement(fabric, "per_level")
-    done = run_placed_reduction(fabric, placement, vectors)
-    if list(done["result"]) != _oracle(vectors):
-        raise AssertionError(
-            f"availability p={num_hosts} kill@{kill_at_us}us: "
-            f"reduction result does not match the oracle")
-    return {
-        "hosts": num_hosts,
-        "kill_at_us": kill_at_us,
-        "latency_us": done["latency_ps"] / 1e6,
-        "attempts": done.get("attempts", 1),
-        "repairs": done.get("repairs", 0),
-        "failovers": fabric.failovers,
-        "detect_us": fabric.ft.detection_latency_ps_max / 1e6,
-    }
-
-
 def availability_sweep(scale: float = 1.0) -> List[Dict]:
     """Rows for every (hosts, kill time) point, plus derived columns."""
     top = max(64, int(256 * scale))
     rows: List[Dict] = []
     for num_hosts in [p for p in HOST_COUNTS if p <= top]:
+        # 256 hosts overflow a 16-port spine (32 leaves); use the
+        # 32-port building block there, paper-sized switches below.
+        shape = (dict(hosts_per_leaf=16, switch_ports=32)
+                 if num_hosts > 128 else {})
         baseline_us = None
         for kill_at_us in KILL_TIMES_US:
-            row = _one_point(num_hosts, kill_at_us)
+            faults = None if kill_at_us is None else FaultPlan(
+                failstop=FailStopFaults(
+                    events=(FailStopEvent(kind="switch_down",
+                                          target="spine0",
+                                          at_ps=us(kill_at_us)),),
+                    collective_timeout_ps=COLLECTIVE_TIMEOUT_PS))
+            case = run("reduce", topology="fat_tree", hosts=num_hosts,
+                       cases=("active",), seed=7,
+                       overrides={"faults": faults},
+                       **shape).cases["active"]
+            extra = case.extra
+            latency_us = case.exec_ps / 1e6
             if kill_at_us is None:
-                baseline_us = row["latency_us"]
-            row["slowdown"] = row["latency_us"] / baseline_us
-            row["recover_us"] = row["latency_us"] - baseline_us
-            rows.append(row)
+                baseline_us = latency_us
+            rows.append({
+                "hosts": num_hosts,
+                "kill_at_us": kill_at_us,
+                "latency_us": latency_us,
+                "attempts": int(extra.get("collective_attempts", 1)),
+                "repairs": int(extra.get("collective_repairs", 0)),
+                "failovers": int(extra.get("fabric.failovers", 0)),
+                "detect_us": extra.get(
+                    "fabric.detection_latency_ps.max", 0) / 1e6,
+                "slowdown": latency_us / baseline_us,
+                "recover_us": latency_us - baseline_us,
+            })
     return rows
 
 

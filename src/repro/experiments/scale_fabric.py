@@ -25,35 +25,17 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..apps.reduction import REDUCTION_HCA, _make_vectors, _oracle
-from ..cluster.fabric import TopologySpec, build_fabric
-from ..cluster.placement import plan_placement, run_placed_reduction
-from ..apps.reduction import run_normal_reduction
-from ..sim.core import Environment
+from ..runner.api import run
 from .registry import Experiment, bounded, register
 
 #: Host counts swept (64 .. 1024; scale trims the top end).
 HOST_COUNTS = (64, 128, 256, 512, 1024)
 
-
-def _one_point(num_hosts: int, system: str, kind: str = "tree") -> Dict:
-    env = Environment()
-    spec = TopologySpec(kind=kind, num_hosts=num_hosts)
-    fabric = build_fabric(env, spec, hca_config=REDUCTION_HCA)
-    fabric.validate()
-    vectors = _make_vectors(num_hosts)
-    if system == "host_only":
-        outcome = run_normal_reduction(fabric, vectors, "reduce-to-one")
-        result, latency_ps = outcome.result_vector, outcome.latency_ps
-    else:
-        plan = plan_placement(fabric, system)
-        done = run_placed_reduction(fabric, plan, vectors)
-        result, latency_ps = done["result"], done["latency_ps"]
-    if list(result) != _oracle(vectors):
-        raise AssertionError(
-            f"scale_fabric {system} p={num_hosts}: wrong reduction result")
-    return {"system": system, "hosts": num_hosts, "depth": fabric.depth,
-            "latency_us": latency_ps / 1e6}
+#: Each system as the (case, placement) of a ``repro.run("reduce")``
+#: point; the host-only MST baseline runs no handler.
+SYSTEMS = {"host_only": ("normal", "per_level"),
+           "root_only": ("active", "root_only"),
+           "per_level": ("active", "per_level")}
 
 
 def fabric_scale_sweep(scale: float = 1.0) -> List[Dict]:
@@ -63,11 +45,14 @@ def fabric_scale_sweep(scale: float = 1.0) -> List[Dict]:
     0.25 to 256, etc. — the shape is visible from 256 up.
     """
     top = max(64, int(1024 * scale))
-    counts = [p for p in HOST_COUNTS if p <= top]
     rows = []
-    for num_hosts in counts:
-        for system in ("host_only", "root_only", "per_level"):
-            rows.append(_one_point(num_hosts, system))
+    for num_hosts in [p for p in HOST_COUNTS if p <= top]:
+        for system, (case, placement) in SYSTEMS.items():
+            result = run("reduce", hosts=num_hosts, placement=placement,
+                         cases=(case,)).cases[case]
+            rows.append({"system": system, "hosts": num_hosts,
+                         "depth": int(result.extra["fabric_depth"]),
+                         "latency_us": result.exec_ps / 1e6})
     return rows
 
 

@@ -30,7 +30,7 @@ APP_REGISTRY: Dict[str, str] = {
     "tar": "repro.apps.tar:TarApp",
     "sort": "repro.apps.sort:SortApp",
     "md5": "repro.apps.md5:Md5App",
-    "reduce": "repro.apps.reduce_fabric:FabricReduceApp",
+    "reduce": "repro.apps.reduction:FabricReduceApp",
 }
 
 #: Workload scales keeping each paper artifact's wall-clock reasonable

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from .diagnostics import (
     DeadlockError,
@@ -205,11 +205,6 @@ class Environment:
     def event_count(self) -> int:
         """Total events processed since the environment was created."""
         return self._event_count
-
-    @property
-    def alive_processes(self) -> Tuple[Process, ...]:
-        """Processes whose generator has not finished (daemons included)."""
-        return tuple(self._alive_processes)
 
     def _deadlock_check(self, reason: str) -> None:
         """Raise :class:`DeadlockError` if non-daemon processes remain."""

@@ -188,8 +188,3 @@ class CpuScheduler:
                  meta=None):
         """Pick a CPU and schedule a handler on it in one step."""
         return self.dispatch_on(self.pick(cpu_id), make_generator, meta=meta)
-
-    @property
-    def busy_count(self) -> int:
-        """CPUs currently running a handler."""
-        return sum(1 for cpu in self.cpus if cpu.active)

@@ -4,9 +4,12 @@ hand-wired switch-tree reduction.
 Figures 15/16, Table 2 and the reduction ablations used to run on a
 second implementation of the combine-and-forward handler, wired by hand
 onto a ``SwitchTree``.  ``golden/reduction.json`` froze that stack's
-outputs — generated once by ``golden/generate.py`` from the last
-revision that had it — and every scenario re-runs here on the placement
-engine's ``per_level`` plan and must reproduce them exactly.
+outputs — generated once, at commit 1285c6b (the last revision that had
+it), by the script ``tests/apps/golden/generate.py`` of commit 26eec5b —
+and every scenario re-runs here through ``repro.run("reduce", ...)``
+on the placement engine's ``per_level`` plan and must reproduce them
+exactly.  Never regenerate the fixture from a later revision: that
+would compare the engine with itself.
 """
 
 import json
@@ -14,20 +17,19 @@ from pathlib import Path
 
 import pytest
 
+import repro
 import repro.experiments as experiments
 from repro.apps.reduction import (
     DISTRIBUTED,
     REDUCE_TO_ALL,
-    REDUCE_TO_ONE,
     REDUCTION_HCA,
     _make_vectors,
     _oracle,
     reduction_sweep,
-    run_active_reduction,
-    run_reduction_point,
     vector_size_sweep,
 )
 from repro.cluster import TopologySpec, build_fabric
+from repro.cluster.placement import plan_placement, run_placed_reduction
 from repro.experiments.ablations import (ablate_buffer_count,
                                          ablate_receive_discipline)
 from repro.faults import FaultInjector, FaultPlan, LinkFaults
@@ -61,10 +63,12 @@ def test_fixture_digests_are_the_benchmark_references():
 
 def test_table2_is_bit_identical():
     results = experiments.get("table2").run()
-    actual = {key: {"mode": r.mode, "hosts": r.num_hosts,
-                    "latency_ps": r.latency_ps,
-                    "result_vector": list(r.result_vector)}
-              for key, r in results.items()}
+    # Every run checks the switches' result against the oracle and
+    # raises on a mismatch, so the delivered vector is the oracle's.
+    oracle = _oracle(_make_vectors(8))
+    actual = {mode: {"mode": mode, "hosts": 8, "latency_ps": case.exec_ps,
+                     "result_vector": oracle}
+              for mode, case in results.items()}
     assert actual == SCENARIOS["table2"]
 
 
@@ -72,8 +76,8 @@ def test_sweeps_are_bit_identical():
     expected = SCENARIOS["sweeps"]
     assert reduction_sweep(REDUCE_TO_ALL, (2, 8, 16, 32, 128)) \
         == expected["reduce_to_all_sweep"]
-    assert {str(p): run_reduction_point(p, REDUCE_TO_ONE,
-                                        active=True).latency_ps
+    assert {str(p): repro.run("reduce", hosts=p,
+                              cases=("active",)).cases["active"].exec_ps
             for p in (1, 3, 5, 12, 20, 100)} \
         == expected["reduce_to_one_latency_ps"]
     assert vector_size_sweep() == expected["vector_size_sweep"]
@@ -95,9 +99,10 @@ def test_lossy_fabric_reduction_is_bit_identical(seed):
     fabric = build_fabric(Environment(), TopologySpec("tree", 16),
                           hca_config=REDUCTION_HCA, injector=injector)
     vectors = _make_vectors(16)
-    result = run_active_reduction(fabric, vectors, REDUCE_TO_ONE)
-    assert result.result_vector == _oracle(vectors)
-    assert {"latency_ps": result.latency_ps,
+    done = run_placed_reduction(fabric, plan_placement(fabric, "per_level"),
+                                vectors)
+    assert done["result"] == _oracle(vectors)
+    assert {"latency_ps": done["latency_ps"],
             "fingerprint": injector.fingerprint(),
             "total_injected": injector.total_injected} \
         == SCENARIOS["lossy"][seed]

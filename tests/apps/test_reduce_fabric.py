@@ -10,7 +10,7 @@ also agree on the derived sums below).
 import pytest
 
 import repro
-from repro.apps.reduce_fabric import FabricReduceApp
+from repro.apps.reduction import FabricReduceApp
 
 
 def test_repro_run_64_host_fat_tree_per_level():
@@ -76,3 +76,48 @@ def test_metrics_sink_and_trace():
     assert case.label == "active"
     assert sink["fabric.level0.combines"] == 16.0
     assert any(event.component == "fabric" for event in collector.events)
+
+
+def test_handler_crashes_report_switch_degradation():
+    """A reduce under handler crashes reports how the fabric's switches
+    contained them, summed over every switch, like a System does."""
+    from repro.faults import FaultPlan, HandlerFaults
+
+    plan = FaultPlan(handler=HandlerFaults(crash_rate=0.05))
+    extra = repro.run("reduce", topology="tree", hosts=16, cases=("active",),
+                      overrides={"seed": 0, "faults": plan}
+                      ).cases["active"].extra
+    assert extra["handler_contained_crashes"] \
+        == extra["injected_handler_crashes"] == 3.0
+    assert extra["handler_quarantined"] == 2.0
+
+
+def test_fault_free_results_carry_no_fault_keys():
+    extra = repro.run("reduce", topology="tree", hosts=16,
+                      cases=("active",)).cases["active"].extra
+    assert not {key for key in extra
+                if key.startswith(("link_", "handler_", "injected_"))}
+
+
+def test_registry_reductions_restore_from_the_result_cache(tmp_path,
+                                                          monkeypatch):
+    """Figure 15's points run through the harness, so a configured
+    cache restores every (host count, case) point of a second run."""
+    import repro.experiments as experiments
+    from repro.apps.reduction import FabricReduceApp
+
+    experiment = experiments.get("fig15_reduce_to_one")
+    saved = repro.configure()
+    try:
+        repro.configure(cache=str(tmp_path))
+        first = experiment.run()
+        # Seven host counts, a normal and an active case each.
+        assert len(repro.ResultCache(tmp_path)) == 14
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("a cached point was simulated again")
+
+        monkeypatch.setattr(FabricReduceApp, "run_case", simulate)
+        assert experiment.run() == first
+    finally:
+        repro.configure(**saved)

@@ -9,14 +9,13 @@ bit, on both the active (switch-handler) and normal (host MST) paths.
 import pytest
 
 from repro.apps.reduction import (
-    REDUCE_TO_ONE,
     REDUCTION_HCA,
     _make_vectors,
     _oracle,
-    run_active_reduction,
     run_normal_reduction,
 )
 from repro.cluster import TopologySpec, build_fabric
+from repro.cluster.placement import plan_placement, run_placed_reduction
 from repro.faults import FaultInjector, FaultPlan, LinkFaults
 from repro.sim import Environment
 
@@ -35,6 +34,13 @@ def _lossy_tree(num_hosts, seed, plan=LOSSY):
     return _tree(num_hosts, injector), injector
 
 
+def _active(tree, vectors):
+    """The in-switch reduction: the per-level plan on the placement
+    engine, as ``repro.run("reduce")``'s active case runs it."""
+    return run_placed_reduction(tree, plan_placement(tree, "per_level"),
+                                vectors)
+
+
 def _host_retransmits(tree):
     return sum(host.hca.reliability().get("tx_retransmits", 0) +
                host.hca.reliability().get("rx_retransmits", 0)
@@ -44,8 +50,7 @@ def _host_retransmits(tree):
 def test_active_reduction_is_byte_correct_under_link_faults():
     vectors = _make_vectors(16)
     tree, injector = _lossy_tree(16, seed=11)
-    result = run_active_reduction(tree, vectors, REDUCE_TO_ONE)
-    assert result.result_vector == _oracle(vectors)
+    assert _active(tree, vectors)["result"] == _oracle(vectors)
     # The fabric really was lossy — recovery did actual work.
     assert injector.total_injected > 0
     snapshot = injector.snapshot()
@@ -56,23 +61,22 @@ def test_active_reduction_is_byte_correct_under_link_faults():
 def test_normal_reduction_is_byte_correct_under_link_faults():
     vectors = _make_vectors(8)
     tree, injector = _lossy_tree(8, seed=5)
-    result = run_normal_reduction(tree, vectors, REDUCE_TO_ONE)
-    assert result.result_vector == _oracle(vectors)
+    assert run_normal_reduction(tree, vectors)["result"] == _oracle(vectors)
     assert injector.total_injected > 0
     assert _host_retransmits(tree) > 0
 
 
 def test_faults_cost_latency_but_never_bytes():
     vectors = _make_vectors(16)
-    clean = run_active_reduction(_tree(16), vectors, REDUCE_TO_ONE)
+    clean = _active(_tree(16), vectors)
 
     # Seed chosen so the schedule puts retransmissions on the critical
     # path (some seeds inject only off-path faults, which cost nothing).
     tree, injector = _lossy_tree(16, seed=5)
-    faulty = run_active_reduction(tree, vectors, REDUCE_TO_ONE)
-    assert faulty.result_vector == clean.result_vector == _oracle(vectors)
+    faulty = _active(tree, vectors)
+    assert faulty["result"] == clean["result"] == _oracle(vectors)
     assert injector.total_injected > 0
-    assert faulty.latency_ps > clean.latency_ps
+    assert faulty["latency_ps"] > clean["latency_ps"]
 
 
 def test_same_seed_reproduces_the_same_fault_schedule():
@@ -80,9 +84,9 @@ def test_same_seed_reproduces_the_same_fault_schedule():
     for _ in range(2):
         vectors = _make_vectors(16)
         tree, injector = _lossy_tree(16, seed=11)
-        result = run_active_reduction(tree, vectors, REDUCE_TO_ONE)
-        runs.append((result.latency_ps, injector.fingerprint(),
-                     injector.total_injected, tuple(result.result_vector)))
+        done = _active(tree, vectors)
+        runs.append((done["latency_ps"], injector.fingerprint(),
+                     injector.total_injected, tuple(done["result"])))
     assert runs[0] == runs[1]
 
 
@@ -91,8 +95,7 @@ def test_different_seeds_draw_different_schedules():
     for seed in (11, 12, 13):
         vectors = _make_vectors(16)
         tree, injector = _lossy_tree(16, seed=seed)
-        result = run_active_reduction(tree, vectors, REDUCE_TO_ONE)
-        assert result.result_vector == _oracle(vectors)
+        assert _active(tree, vectors)["result"] == _oracle(vectors)
         fingerprints.add(injector.fingerprint())
     assert len(fingerprints) == 3
 
@@ -105,6 +108,6 @@ def test_plan_seed_reproduces_through_the_tree():
     for constructor_seed in (0, 99):
         vectors = _make_vectors(16)
         tree, injector = _lossy_tree(16, seed=constructor_seed, plan=plan)
-        result = run_active_reduction(tree, vectors, REDUCE_TO_ONE)
-        results.append((result.latency_ps, injector.fingerprint()))
+        results.append((_active(tree, vectors)["latency_ps"],
+                         injector.fingerprint()))
     assert results[0] == results[1]
