@@ -111,35 +111,33 @@ class HashJoinApp(StreamApp):
 
             def host_build_stall(hierarchy, addr=base, keys=tuple(keys),
                                  probes=tuple(probes)):
-                stall = 0
+                addrs = []
                 for i, (key, h) in enumerate(zip(keys, probes)):
-                    stall += hierarchy.load(addr + i * records.RECORD_BYTES)
-                    # Hash-table insert: bucket header + record slot.
-                    slot = (key * 2654435761) % ht_bytes
-                    stall += hierarchy.store(_HASHTABLE_BASE + slot)
-                    stall += hierarchy.store(
-                        _HASHTABLE_BASE + ht_bytes + i * records.RECORD_BYTES)
-                    # Normal case: the bit-vector is built on the host.
-                    stall += hierarchy.store(_BITVECTOR_BASE + (h >> 3))
-                return stall
+                    # Record load; hash-table insert: bucket header +
+                    # record slot; normal case: the bit-vector is built
+                    # on the host.
+                    addrs += (addr + i * records.RECORD_BYTES,
+                              _HASHTABLE_BASE + (key * 2654435761) % ht_bytes,
+                              _HASHTABLE_BASE + ht_bytes
+                              + i * records.RECORD_BYTES,
+                              _BITVECTOR_BASE + (h >> 3))
+                return hierarchy.access_many(
+                    addrs, (False, True, True, True) * len(keys))
 
             def host_build_active_stall(hierarchy, addr=base,
                                         keys=tuple(keys)):
                 # Active: bit-vector lives on the switch; host only
                 # builds the hash table.
-                stall = 0
+                addrs = []
                 for i, key in enumerate(keys):
-                    stall += hierarchy.load(addr + i * records.RECORD_BYTES)
-                    slot = (key * 2654435761) % ht_bytes
-                    stall += hierarchy.store(_HASHTABLE_BASE + slot)
-                return stall
+                    addrs += (addr + i * records.RECORD_BYTES,
+                              _HASHTABLE_BASE + (key * 2654435761) % ht_bytes)
+                return hierarchy.access_many(addrs, (False, True) * len(keys))
 
             def handler_build_stall(hierarchy, probes=tuple(probes)):
                 # Switch: set bits in local memory through the 1 KB D$.
-                stall = 0
-                for h in probes:
-                    stall += hierarchy.store(_SWITCH_BV_BASE + (h >> 3))
-                return stall
+                return hierarchy.access_many(
+                    [_SWITCH_BV_BASE + (h >> 3) for h in probes], True)
 
             build_cycles = len(keys) * (HASH_CYCLES + HT_INSERT_CYCLES
                                         + BV_SET_CYCLES)
@@ -171,39 +169,34 @@ class HashJoinApp(StreamApp):
             def host_probe_stall(hierarchy, addr=base, keys=tuple(keys),
                                  probes=tuple(probes),
                                  passing=tuple(passing)):
-                stall = 0
+                addrs = []
                 for i, (key, h, ok) in enumerate(zip(keys, probes, passing)):
-                    stall += hierarchy.load(addr + i * records.RECORD_BYTES)
-                    stall += hierarchy.load(_BITVECTOR_BASE + (h >> 3))
+                    addrs += (addr + i * records.RECORD_BYTES,
+                              _BITVECTOR_BASE + (h >> 3))
                     if ok:
-                        slot = (key * 2654435761) % ht_bytes
-                        stall += hierarchy.load(_HASHTABLE_BASE + slot)
-                        stall += hierarchy.load(
+                        addrs += (
+                            _HASHTABLE_BASE + (key * 2654435761) % ht_bytes,
                             _HASHTABLE_BASE + ht_bytes
-                            + (key % max(1, ht_bytes)) )
-                return stall
+                            + (key % max(1, ht_bytes)))
+                return hierarchy.access_many(addrs, False)
 
             def handler_probe_stall(hierarchy, probes=tuple(probes)):
-                stall = 0
-                for h in probes:
-                    stall += hierarchy.load(_SWITCH_BV_BASE + (h >> 3))
-                return stall
+                return hierarchy.access_many(
+                    [_SWITCH_BV_BASE + (h >> 3) for h in probes], False)
 
             def host_join_stall(hierarchy, addr=base, keys=tuple(keys),
                                 passing=tuple(passing)):
-                stall = 0
+                addrs = []
                 slot_index = 0
                 for key, ok in zip(keys, passing):
                     if not ok:
                         continue
-                    stall += hierarchy.load(
-                        addr + slot_index * records.RECORD_BYTES)
-                    slot = (key * 2654435761) % ht_bytes
-                    stall += hierarchy.load(_HASHTABLE_BASE + slot)
-                    stall += hierarchy.load(
-                        _HASHTABLE_BASE + ht_bytes + (key % max(1, ht_bytes)))
+                    addrs += (addr + slot_index * records.RECORD_BYTES,
+                              _HASHTABLE_BASE + (key * 2654435761) % ht_bytes,
+                              _HASHTABLE_BASE + ht_bytes
+                              + (key % max(1, ht_bytes)))
                     slot_index += 1
-                return stall
+                return hierarchy.access_many(addrs, False)
 
             host_cycles = (len(keys) * (HASH_CYCLES + BV_PROBE_CYCLES)
                            + pass_count * (HT_PROBE_CYCLES + JOIN_EMIT_CYCLES))

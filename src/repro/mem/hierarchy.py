@@ -17,28 +17,52 @@ Stall semantics follow Section 4 of the paper:
 The embedded switch processor uses the same machinery with no L2 and no
 overlap (its caches support only one outstanding request).
 
-Scans (``load_range`` / ``store_range`` / ``load_stride`` /
-``store_stride``) walk a whole access sequence in one call.  The
-sequence is chunked per TLB page.  Each chunk makes one real TLB
-access (the same-page re-hits only bump the access counter), one L1
-pass (:meth:`Cache._access_run` for whole lines,
-:meth:`Cache._access_each` for records), one L2 pass over the missed
-lines that probes each L2 line once (:meth:`Cache._access_each`
-again), and one open-page walk of memory over the L2 misses
-(:meth:`Rdram.access_lines`).  Every counter and every stall
-sum is bit-identical to issuing the same accesses one ``load`` /
-``store`` at a time, which the per-line oracle in ``tests/mem`` checks.
+Sequences — the scans (``load_range`` / ``store_range`` /
+``load_stride`` / ``store_stride``) and :meth:`MemoryHierarchy.access_many`
+— are decided whole, by one of two deciders over the same state:
+
+* the numpy decider (:meth:`MemoryHierarchy._decide`) takes each level
+  over the whole sequence in turn: the TLB first, because its state
+  never depends on the caches, with each miss's page-table references
+  placed before the access that missed; then L1
+  (:meth:`Cache._decide`); then L2 over L1's misses; then RDRAM's open
+  pages over L2's misses (:meth:`Rdram._decide`);
+* the walk (:meth:`MemoryHierarchy._walk`) takes the same levels in
+  the same order, each one access at a time (:meth:`Cache._walk`).
+
+:meth:`MemoryHierarchy._sequence` picks the numpy decider when numpy
+imports, every data cache has at most two ways and the sequence has at
+least :data:`NUMPY_MIN_ACCESSES` accesses, and the walk otherwise; no
+flag selects either.  Every counter and every stall sum is bit-identical
+to issuing the same accesses one ``load`` / ``store`` at a time, which
+the per-line oracle in ``tests/mem`` checks for both deciders.
+:data:`DECIDED` counts which decider took how much.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 from ..sim.units import Clock
-from .cache import HIT, WRITEBACK, Cache, CacheConfig
+from .cache import HIT, MAX_DECIDED_ASSOC, WRITEBACK, Cache, CacheConfig, _np
 from .rdram import Rdram, RdramConfig
 from .tlb import TLB, TLBConfig
+
+#: Shortest sequence the numpy decider takes.  Its cost is mostly a
+#: fixed number of numpy calls per level, so below this length the walk
+#: is cheaper on the paper's hierarchies (docs/performance.md).
+NUMPY_MIN_ACCESSES = 256
+
+#: Sequences and accesses each decider has taken in this process, as
+#: ``"numpy.sequences"``, ``"numpy.accesses"``, ``"walk.sequences"`` and
+#: ``"walk.accesses"``.  Kept outside every statistics object, so no
+#: result depends on which decider ran.
+DECIDED: Counter = Counter()
+
+#: Kinds of access in a decided sequence: what each stall is charged as.
+_LOAD, _STORE, _WALK = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -81,10 +105,18 @@ class MemoryHierarchy:
         self.memory = memory
         self.clock = clock
         self.timing = timing
-        # timing and clock are immutable; precompute the L2-hit stall.
+        if dtlb is not None and l1d.config.line_size > dtlb.config.page_size:
+            raise ValueError(f"{l1d.config.name}: a line may not span "
+                             f"{dtlb.config.name} pages")
+        # timing and clock are immutable; precompute the fixed stalls.
         self._l2_hit_ps = clock.cycles(timing.l2_hit_stall_cycles)
         self._l2_store_ps = round(self._l2_hit_ps
                                   * timing.store_overlap_factor)
+        self._refill_ps = clock.cycles(timing.tlb_refill_cycles)
+        # The numpy decider is exact only while every data cache it
+        # drives has at most MAX_DECIDED_ASSOC ways.
+        self._decidable = all(cache.config.assoc <= MAX_DECIDED_ASSOC
+                              for cache in (l1d, l2) if cache is not None)
         #: Accumulated stall picoseconds, by cause.
         self.load_stall_ps = 0
         self.store_stall_ps = 0
@@ -114,8 +146,8 @@ class MemoryHierarchy:
         """
         if tlb.access(addr):
             return 0
-        stall = self.clock.cycles(self.timing.tlb_refill_cycles)
-        page = addr >> (tlb.config.page_size.bit_length() - 1)
+        stall = self._refill_ps
+        page = addr >> tlb._page_shift
         l1d = self.l1d
         for ref in range(self.timing.tlb_walk_refs):
             walk_addr = self._PAGE_TABLE_BASE + (page + ref) * 8
@@ -165,6 +197,16 @@ class MemoryHierarchy:
         self.ifetch_stall_ps += stall
         return tlb_stall + stall
 
+    def access_many(self, addrs: Sequence[int],
+                    writes: Union[bool, Sequence[bool]]) -> int:
+        """Data loads and stores at each of ``addrs`` in order, in one call.
+
+        ``writes`` is one flag for every access or one per access (True
+        stores).  Returns the summed stall; state, statistics and stall
+        sums end exactly as after one ``load`` / ``store`` per address.
+        """
+        return self._sequence(addrs, writes)
+
     def load_range(self, addr: int, nbytes: int) -> int:
         """Sequential loads touching every line of a byte range."""
         return self._scan_range(addr, nbytes, write=False)
@@ -175,107 +217,182 @@ class MemoryHierarchy:
 
     def load_stride(self, addr: int, stride: int, count: int) -> int:
         """``count`` loads at ``addr, addr+stride, ...`` (record scans)."""
-        if stride > 0:
-            return self._scan(addr, stride, count, write=False)
-        stall = 0
-        for i in range(count):
-            stall += self.load(addr + i * stride)
-        return stall
+        return self._sequence(_strided(addr, stride, count), False)
 
     def store_stride(self, addr: int, stride: int, count: int) -> int:
         """``count`` stores at ``addr, addr+stride, ...``."""
-        if stride > 0:
-            return self._scan(addr, stride, count, write=True)
-        stall = 0
-        for i in range(count):
-            stall += self.store(addr + i * stride)
-        return stall
+        return self._sequence(_strided(addr, stride, count), True)
 
     def _scan_range(self, addr: int, nbytes: int, write: bool) -> int:
         """Every line of ``[addr, addr+nbytes)``; an empty range is free."""
         if nbytes <= 0:
             return 0
         line = self.l1d.config.line_size
-        first = addr - (addr % line)
-        count = (addr + nbytes - first + line - 1) // line
-        return self._scan(first, line, count, write)
+        return self._sequence(range(addr - addr % line, addr + nbytes, line),
+                              write)
 
-    def _scan(self, addr: int, stride: int, count: int, write: bool) -> int:
-        """``count`` accesses at ``addr, addr+stride, ...`` in one walk.
-
-        Bit-identical to the per-access loop.  The walk is chunked per
-        TLB page: one real translation covers a chunk (the remaining
-        same-page accesses are hits that only move an already-MRU entry,
-        so they collapse to an access-counter bump), and a page-table
-        walk on a miss goes through the caches before the chunk's own
-        accesses, as the per-access loop orders it.  The chunk's L1
-        misses then consult L2 and memory in order.  Each level sees
-        its own accesses in the per-access order, so its state evolves
-        identically.
-        """
-        if count <= 0:
+    # ------------------------------------------------------------------
+    # Sequences: pick a decider
+    # ------------------------------------------------------------------
+    def _sequence(self, addrs: Sequence[int],
+                  writes: Union[bool, Sequence[bool]]) -> int:
+        """Stall of data accesses at ``addrs`` in order; picks a decider."""
+        count = len(addrs)
+        if not count:
             return 0
-        l1d = self.l1d
-        # A line-aligned walk one line apart is a run of whole lines.
-        run = stride == l1d.config.line_size and not addr % stride
-        tlb = self.dtlb
-        page_size = tlb.config.page_size if tlb is not None else 0
-        tlb_stall = 0
-        fill_stall = 0
-        pos = addr
-        remaining = count
-        while remaining:
-            if tlb is not None:
-                page_end = (pos // page_size + 1) * page_size
-                chunk = min(remaining, -(-(page_end - pos) // stride))
-                tlb_stall += self._translate(tlb, pos)
-                tlb.stats.accesses += chunk - 1
-            else:
-                chunk = remaining
-            if run:
-                missed, _ = l1d._access_run(pos, chunk, write=write)
-            else:
-                missed, _ = l1d._access_each(
-                    range(pos, pos + chunk * stride, stride), write=write)
-            fill_stall += self._consult_lower(missed, write)
-            pos += chunk * stride
-            remaining -= chunk
-        if write:
-            self.store_stall_ps += fill_stall
+        if (_np is not None and self._decidable
+                and count >= NUMPY_MIN_ACCESSES):
+            decider = "numpy"
+            stall = self._decide(addrs, writes)
         else:
-            self.load_stall_ps += fill_stall
-        return tlb_stall + fill_stall
+            decider = "walk"
+            stall = self._walk(addrs, writes)
+        DECIDED[decider + ".sequences"] += 1
+        DECIDED[decider + ".accesses"] += count
+        return stall
 
-    def _consult_lower(self, missed, write: bool) -> int:
-        """L2/memory stall for a chunk's missed L1 lines, in order.
-
-        L2 probes each run of missed lines that share an L2 line once;
-        the repeats are MRU hits.  L2's misses fill from memory in one
-        open-page walk.  A store's stall is rounded per line, but each
-        line costs one of three latencies (L2 hit, page hit, page miss),
-        so the per-line sum is a count times each rounded latency.
+    def _walk(self, addrs: Sequence[int],
+              writes: Union[bool, Sequence[bool]]) -> int:
+        """The walk: the levels in the numpy decider's order, each one
+        access at a time (:meth:`TLB._misses`, :meth:`Cache._walk`,
+        :meth:`Rdram._walk`).
         """
-        memory = self.memory
-        l2 = self.l2
-        if l2 is None:
-            fills = missed
-            stall = 0
+        addrs = list(addrs)
+        count = len(addrs)
+        if isinstance(writes, bool):
+            kinds = [_STORE if writes else _LOAD] * count
         else:
-            fills, writebacks = l2._access_each(missed, write=write)
+            kinds = [_STORE if write else _LOAD for write in writes]
+        tlb_misses = 0
+        tlb = self.dtlb
+        if tlb is not None:
+            shift = tlb._page_shift
+            runs, pages, page = [], [], -1
+            for position, addr in enumerate(addrs):
+                if addr >> shift != page:
+                    page = addr >> shift
+                    runs.append(position)
+                    pages.append(page)
+            missed = [runs[run] for run in tlb._misses(pages)]
+            tlb.stats.accesses += count - len(runs)
+            tlb_misses = len(missed)
+            refs = range(self.timing.tlb_walk_refs)
+            if missed and refs:
+                # Each miss's page-table walk goes before the access
+                # that missed.
+                merged, merged_kinds, done = [], [], 0
+                for position in missed:
+                    page = addrs[position] >> shift
+                    merged += addrs[done:position]
+                    merged += [self._PAGE_TABLE_BASE + (page + ref) * 8
+                               for ref in refs]
+                    merged_kinds += kinds[done:position]
+                    merged_kinds += [_WALK] * len(refs)
+                    done = position
+                addrs = merged + addrs[done:]
+                kinds = merged_kinds + kinds[done:]
+        memory = self.memory
+        missed, _ = self.l1d._walk(addrs, [kind == _STORE for kind in kinds])
+        addrs = [addrs[position] for position in missed]
+        kinds = [kinds[position] for position in missed]
+        l2 = self.l2
+        l2_hits = [0, 0, 0]
+        if l2 is not None and addrs:
+            missed, writebacks = l2._walk(
+                addrs, [kind == _STORE for kind in kinds])
             if writebacks:
                 # Off the critical path, bandwidth accounted.
                 memory.stream(writebacks * l2.config.line_size)
-            stall = ((len(missed) - len(fills))
-                     * (self._l2_store_ps if write else self._l2_hit_ps))
-        if not fills:
-            return stall
-        line = self.l1d.config.line_size
-        page_hits = memory.access_lines(fills, line)
-        hit_ps, miss_ps = memory.fill_latencies(line)
-        if write:
-            overlap = self.timing.store_overlap_factor
-            hit_ps, miss_ps = round(hit_ps * overlap), round(miss_ps * overlap)
-        return stall + page_hits * hit_ps + (len(fills) - page_hits) * miss_ps
+            l2_hits = [kinds.count(kind) for kind in (_LOAD, _STORE, _WALK)]
+            addrs = [addrs[position] for position in missed]
+            kinds = [kinds[position] for position in missed]
+            for kind in kinds:
+                l2_hits[kind] -= 1
+        page_hits = [0, 0, 0]
+        page_misses = [kinds.count(kind) for kind in (_LOAD, _STORE, _WALK)]
+        if addrs:
+            for position in memory._walk(addrs, self.l1d.config.line_size):
+                page_hits[kinds[position]] += 1
+                page_misses[kinds[position]] -= 1
+        return self._charge(tlb_misses, l2_hits, page_hits, page_misses)
+
+    def _decide(self, addrs: Sequence[int],
+                writes: Union[bool, Sequence[bool]]) -> int:
+        """The numpy decider: each level over the whole sequence in turn."""
+        np = _np
+        if isinstance(addrs, range):
+            addrs = np.arange(addrs.start, addrs.stop, addrs.step,
+                              dtype=np.int64)
+        else:
+            addrs = np.asarray(addrs, dtype=np.int64)
+        if isinstance(writes, bool):
+            kinds = np.full(len(addrs), _STORE if writes else _LOAD,
+                            dtype=np.int8)
+        else:
+            kinds = np.asarray(writes, dtype=np.int8)
+        tlb_misses = 0
+        tlb = self.dtlb
+        if tlb is not None:
+            pages = addrs >> tlb._page_shift
+            runs = np.ones(len(pages), dtype=bool)
+            runs[1:] = pages[1:] != pages[:-1]
+            runs = runs.nonzero()[0]
+            missed = runs[tlb._misses(pages[runs].tolist())]
+            tlb.stats.accesses += len(addrs) - len(runs)
+            tlb_misses = len(missed)
+            refs = self.timing.tlb_walk_refs
+            if tlb_misses and refs:
+                # Each miss's page-table walk goes before the access
+                # that missed.
+                walks = self._PAGE_TABLE_BASE + 8 * (
+                    pages[missed, None] + np.arange(refs))
+                at = missed.repeat(refs)
+                addrs = np.insert(addrs, at, walks.ravel())
+                kinds = np.insert(kinds, at, _WALK)
+        memory = self.memory
+        missed, _ = self.l1d._decide(addrs, kinds == _STORE)
+        addrs, kinds = addrs[missed], kinds[missed]
+        l2 = self.l2
+        l2_hits = [0, 0, 0]
+        if l2 is not None and len(addrs):
+            missed, writebacks = l2._decide(addrs, kinds == _STORE)
+            if writebacks:
+                # Off the critical path, bandwidth accounted.
+                memory.stream(writebacks * l2.config.line_size)
+            l2_hits = np.bincount(kinds[~missed], minlength=3).tolist()
+            addrs, kinds = addrs[missed], kinds[missed]
+        page_hits = page_misses = [0, 0, 0]
+        if len(addrs):
+            hit = memory._decide(addrs, self.l1d.config.line_size)
+            page_hits = np.bincount(kinds[hit], minlength=3).tolist()
+            page_misses = np.bincount(kinds[~hit], minlength=3).tolist()
+        return self._charge(tlb_misses, l2_hits, page_hits, page_misses)
+
+    def _charge(self, tlb_misses: int, l2_hits, page_hits,
+                page_misses) -> int:
+        """Charge a decided sequence's stalls; returns their sum.
+
+        The last three arguments count L1 misses per kind of access
+        (load, store, page-table walk reference) by where they were
+        filled from.  A store's stall is rounded per access, but every
+        L1 miss costs one of three latencies (L2 hit, page hit, page
+        miss), so each stall sum is a count per kind and latency times
+        that latency.
+        """
+        hit_ps, miss_ps = self.memory.fill_latencies(
+            self.l1d.config.line_size)
+        overlap = self.timing.store_overlap_factor
+        load, _, walk = [
+            l2_hits[kind] * self._l2_hit_ps + page_hits[kind] * hit_ps
+            + page_misses[kind] * miss_ps for kind in (_LOAD, _STORE, _WALK)]
+        store = (l2_hits[_STORE] * self._l2_store_ps
+                 + page_hits[_STORE] * round(hit_ps * overlap)
+                 + page_misses[_STORE] * round(miss_ps * overlap))
+        tlb = tlb_misses * self._refill_ps + walk
+        self.load_stall_ps += load
+        self.store_stall_ps += store
+        self.tlb_stall_ps += tlb
+        return load + store + tlb
 
     @property
     def total_stall_ps(self) -> int:
@@ -294,6 +411,13 @@ class MemoryHierarchy:
             if tlb is not None:
                 tlb.stats.reset()
         self.memory.stats.reset()
+
+
+def _strided(addr: int, stride: int, count: int) -> Sequence[int]:
+    """The addresses ``addr, addr+stride, ...`` of a ``count``-long scan."""
+    if stride:
+        return range(addr, addr + max(count, 0) * stride, stride)
+    return (addr,) * max(count, 0)
 
 
 # ----------------------------------------------------------------------

@@ -7,14 +7,23 @@ both the host and switch.  The maximum bandwidth of both systems is
 We model per-bank open pages (a page miss closes/opens the sense amps,
 hence the extra 22 ns) and account for bandwidth when bulk data streams
 through memory (I/O buffers, message payloads).
+
+The open-page policy has two deciders, like the caches: the walk,
+:meth:`Rdram._walk` (behind :meth:`Rdram.access` and
+:meth:`Rdram.access_lines`), takes fills one at a time, and
+:meth:`Rdram._decide` takes a whole numpy sequence of fills at once.
+A bank behaves like one direct-mapped cache line whose tag is its open
+page, so a fill hits exactly when its page equals the previous page of
+its bank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..sim.units import ns, transfer_ps
+from .cache import _np
 
 
 @dataclass(frozen=True)
@@ -90,36 +99,70 @@ class Rdram:
         """Latency of one line fill/writeback at ``addr``."""
         hit_ps, miss_ps = (self._fill_ps.get(nbytes)
                            or self.fill_latencies(nbytes))
-        return hit_ps if self.access_lines((addr,), nbytes) else miss_ps
+        return hit_ps if self._walk((addr,), nbytes) else miss_ps
 
     def access_lines(self, addrs: Sequence[int], nbytes: int) -> int:
         """``nbytes`` line fills at each of ``addrs`` in order, in one call.
 
-        The single copy of the open-page policy: each fill hits if its
-        bank still has the fill's page open, and otherwise opens it.
         Returns the number of page hits; each fill costs the matching
         entry of :meth:`fill_latencies`.
+        """
+        return len(self._walk(addrs, nbytes))
+
+    def _walk(self, addrs: Sequence[int], nbytes: int) -> List[int]:
+        """The walk of the open-page policy; returns the hits' positions.
+
+        Each fill hits if its bank still has the fill's page open, and
+        otherwise opens it.
         """
         if nbytes <= 0:
             raise ValueError(f"nbytes must be positive, got {nbytes}")
         open_pages = self._open_pages
         page_shift = self._page_shift
         num_banks = self.config.num_banks
-        hits = 0
-        for addr in addrs:
+        hits = []
+        for position, addr in enumerate(addrs):
             page = addr >> page_shift
             bank = page % num_banks
             if open_pages[bank] == page:
-                hits += 1
+                hits.append(position)
             else:
                 open_pages[bank] = page
-        count = len(addrs)
-        stats = self.stats
-        stats.accesses += count
-        stats.page_hits += hits
-        stats.page_misses += count - hits
-        stats.bytes_transferred += count * nbytes
+        self._count(len(addrs), len(hits), nbytes)
         return hits
+
+    def _decide(self, addrs, nbytes: int):
+        """:meth:`_walk` over an int64 array, in one vector pass.
+
+        The fills are sorted stably by bank behind each bank's open
+        page; a fill hits when its page equals the entry before it.
+        Returns a bool array marking the page hits in input order.
+        """
+        np = _np
+        pages = addrs >> self._page_shift
+        banks = pages % self.config.num_banks
+        order = np.argsort(banks, kind="stable")
+        pages = pages[order]
+        banks = banks[order]
+        first = np.ones(len(banks), dtype=bool)
+        first[1:] = banks[1:] != banks[:-1]
+        before = np.empty_like(pages)
+        before[1:] = pages[:-1]
+        before[first] = np.array(self._open_pages)[banks[first]]
+        hits = np.empty(len(pages), dtype=bool)
+        hits[order] = pages == before
+        last = np.append(first.nonzero()[0][1:], len(pages)) - 1
+        for bank, page in zip(banks[last].tolist(), pages[last].tolist()):
+            self._open_pages[bank] = page
+        self._count(len(pages), int(hits.sum()), nbytes)
+        return hits
+
+    def _count(self, fills: int, hits: int, nbytes: int) -> None:
+        stats = self.stats
+        stats.accesses += fills
+        stats.page_hits += hits
+        stats.page_misses += fills - hits
+        stats.bytes_transferred += fills * nbytes
 
     def stream(self, nbytes: int) -> int:
         """Bandwidth-limited time for a large sequential transfer."""

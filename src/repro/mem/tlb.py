@@ -6,14 +6,17 @@ of TLB misses".  We model the hit/miss behaviour here and let the
 hierarchy charge the page-walk latency (which itself goes through the
 cache model, giving the "cache effects").
 
-Like the caches, the entry store is one insertion-ordered ``dict``
-(page -> None, LRU first) so hit, touch, and replacement are all O(1)
-instead of a ``list.index`` scan over up to 64 entries per access.
+The entry store is one insertion-ordered ``dict`` (page -> None, LRU
+first) so hit, touch, and replacement are all O(1) instead of a
+``list.index`` scan over up to 64 entries per access.  Both memory
+sequence deciders translate through :meth:`TLB._misses`, once per run
+of accesses to one page.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Sequence
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,28 @@ class TLB:
             del pages[next(iter(pages))]
         pages[page] = None
         return False
+
+    def _misses(self, pages: Sequence[int]) -> List[int]:
+        """Translate each of ``pages`` (page numbers) in order.
+
+        Returns the positions in ``pages`` that missed.  The sequence
+        deciders call this once per run of accesses to one page: the
+        rest of a run hits the MRU entry and changes nothing.
+        """
+        entries = self._pages
+        limit = self.config.entries
+        missed = []
+        for position, page in enumerate(pages):
+            if page in entries:
+                del entries[page]
+            else:
+                missed.append(position)
+                if len(entries) >= limit:
+                    del entries[next(iter(entries))]
+            entries[page] = None
+        self.stats.accesses += len(pages)
+        self.stats.misses += len(missed)
+        return missed
 
     def flush(self) -> None:
         """Invalidate all entries."""

@@ -1,9 +1,10 @@
-"""Per-line oracle for the memory hierarchy's scans.
+"""Per-line oracle for the memory hierarchy's sequences.
 
 The reference meaning of ``load_range`` / ``store_range`` /
-``load_stride`` / ``store_stride``: one scalar ``load`` or ``store`` per
-line or record, in order.  The simulator's scans must match this walk
-in every counter, cache set, TLB entry, open page and stall sum.  Tests
+``load_stride`` / ``store_stride`` / ``access_many``: one scalar
+``load`` or ``store`` per line, record or address, in order.  The
+simulator's sequence deciders must match this walk in every counter,
+cache way (in LRU order), TLB entry, open page and stall sum.  Tests
 switch one hierarchy onto the oracle with :func:`per_line`, or every
 hierarchy of a whole application run with :func:`install`, and compare
 :func:`state` against an unpatched twin.
@@ -35,15 +36,22 @@ def store_stride(self, addr, stride, count):
     return sum(self.store(addr + i * stride) for i in range(count))
 
 
-def _no_scan(self, *args, **kwargs):
-    raise AssertionError("scan path taken under the per-line oracle")
+def access_many(self, addrs, writes):
+    if isinstance(writes, bool):
+        writes = [writes] * len(addrs)
+    return sum(self.store(addr) if write else self.load(addr)
+               for addr, write in zip(addrs, writes))
 
 
-#: Methods the oracle replaces; the scan entry points must go unused.
+def _no_sequence(self, *args, **kwargs):
+    raise AssertionError("sequence decider taken under the per-line oracle")
+
+
+#: Methods the oracle replaces; `_sequence` must go unused.
 ORACLE = {
     "load_range": load_range, "store_range": store_range,
     "load_stride": load_stride, "store_stride": store_stride,
-    "_scan_range": _no_scan, "_scan": _no_scan,
+    "access_many": access_many, "_sequence": _no_sequence,
 }
 
 
@@ -61,7 +69,11 @@ def per_line(hier):
 
 
 def state(hier):
-    """Every observable counter and the full cache/TLB/memory state."""
+    """Every observable counter and the full cache/TLB/memory state.
+
+    Caches are snapshotted as each set's ways in LRU order, so two
+    hierarchies agree only when their replacement order does too.
+    """
     snapshot = {
         "load": hier.load_stall_ps, "store": hier.store_stall_ps,
         "ifetch": hier.ifetch_stall_ps, "tlb": hier.tlb_stall_ps,
@@ -69,10 +81,10 @@ def state(hier):
     for name in ("l1d", "l1i", "l2"):
         cache = getattr(hier, name)
         if cache is not None:
-            snapshot[name] = (vars(cache.stats), cache._sets)
+            snapshot[name] = (vars(cache.stats), cache.sets())
     for name in ("dtlb", "itlb"):
         tlb = getattr(hier, name)
         if tlb is not None:
             snapshot[name] = (vars(tlb.stats), list(tlb._pages))
-    snapshot["mem"] = (vars(hier.memory.stats), hier.memory._open_pages)
+    snapshot["mem"] = (vars(hier.memory.stats), list(hier.memory._open_pages))
     return snapshot

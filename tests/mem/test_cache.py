@@ -195,7 +195,7 @@ def test_assoc_1_range_matches_scalar():
             s_writebacks += 1 if result.writeback else 0
         assert (misses, writebacks) == (s_misses, s_writebacks)
     assert vars(batched.stats) == vars(scalar.stats)
-    assert batched._sets == scalar._sets
+    assert batched.sets() == scalar.sets()
 
 
 def test_stats_accumulate():
@@ -253,7 +253,8 @@ def test_property_stats_invariants(addrs, writes):
         cache.access(addr, write=write)
     stats = cache.stats
     assert stats.hits + stats.misses == stats.accesses
-    assert all(len(lines) <= 2 for lines in cache._sets)
+    assert all(len(ways) <= 2 and len({tag for tag, _ in ways}) == len(ways)
+               for ways in cache.sets())
     assert stats.writebacks <= stats.evictions
 
 

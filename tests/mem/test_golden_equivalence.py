@@ -8,7 +8,10 @@ with the oracle installed, comparing the full
 :class:`CaseResult` (execution time, breakdowns, traffic) and the full
 :class:`MetricsRegistry` snapshot — every ``CacheStats``, TLB, RDRAM,
 and stall-picosecond counter for every CPU in the system — for exact
-equality.  A fault-free chaos-preset cell checks the same through the
+equality.  Request-sized blocks keep the sequences as long as at
+registry scale, so with numpy the batched runs go through the numpy
+decider, which each application's test checks; without numpy they
+walk.  A fault-free chaos-preset cell checks the same through the
 recovery-capable configuration.
 """
 
@@ -19,6 +22,7 @@ import pytest
 from repro.cluster.config import case_configs
 from repro.cluster.presets import chaos_2003
 from repro.faults.plan import FaultPlan
+from repro.mem import hierarchy
 from repro.runner.harness import CASE_LABELS, Cell, cell_config
 from repro.runner.spec import paper_grid
 
@@ -56,11 +60,14 @@ def _assert_identical(label, batched, perline):
 def test_batched_path_is_bit_identical(label):
     spec = _GRID[label]
     app = spec.build()
+    decider = "walk" if hierarchy._np is None else "numpy"
+    before = hierarchy.DECIDED[decider + ".sequences"]
     for case in CASE_LABELS:
         config = cell_config(Cell(spec=spec, case=case, seed=None), app)
         batched = _run_case(app, config, False)
         perline = _run_case(app, config, True)
         _assert_identical(f"{label}/{case}", batched, perline)
+    assert hierarchy.DECIDED[decider + ".sequences"] > before, decider
 
 
 def test_chaos_preset_fault_free_is_bit_identical():
@@ -92,6 +99,7 @@ def test_oracle_replaces_scan_path(monkeypatch):
     hier = build_host_hierarchy(Clock(2e9))
     hier.load_range(0x1000, 4096)
     hier.store_stride(0x1000, 100, 50)
-    assert hier.dtlb.stats.accesses == 4096 // 32 + 50
-    with pytest.raises(AssertionError, match="scan path"):
-        hier._scan(0x1000, 32, 1, write=False)
+    hier.access_many([0x1000, 0x9000, 0x1000], (False, True, True))
+    assert hier.dtlb.stats.accesses == 4096 // 32 + 50 + 3
+    with pytest.raises(AssertionError, match="sequence decider"):
+        hier._sequence(range(0x1000, 0x1020, 32), False)

@@ -1,13 +1,21 @@
 """Unit tests for the memory hierarchy's stall-time accounting."""
 
 import copy
+from collections import Counter
 
 import pytest
 
+from repro.apps.hashjoin import HashJoinApp
 from repro.mem import (
+    TLB,
+    Cache,
+    CacheConfig,
     MemoryHierarchy,
+    Rdram,
+    TLBConfig,
     build_host_hierarchy,
     build_switch_hierarchy,
+    hierarchy,
 )
 from repro.sim import Clock
 
@@ -173,3 +181,73 @@ def test_stride_zero_count_is_noop():
     hier = build_host_hierarchy(HOST_CLOCK)
     assert hier.load_stride(0x1000, 100, 0) == 0
     assert hier.l1d.stats.accesses == 0
+
+
+@pytest.mark.parametrize("build", [build_host_hierarchy,
+                                   build_switch_hierarchy])
+def test_access_many_matches_scalar(build):
+    clock = HOST_CLOCK if build is build_host_hierarchy else SWITCH_CLOCK
+    fast = build(clock)
+    ref = per_line(build(clock))
+    addrs = [0x2000_0000 + (i * 7919) % 65536 for i in range(1500)]
+    writes = [i % 3 == 0 for i in range(1500)]
+    for flags in (writes, False, True):
+        assert fast.access_many(addrs, flags) == ref.access_many(addrs, flags)
+        assert state(fast) == state(ref)
+
+
+def test_line_spanning_pages_is_rejected():
+    with pytest.raises(ValueError, match="span"):
+        MemoryHierarchy(l1d=Cache(CacheConfig("L1D", 1024, 256, 2)),
+                        l1i=Cache(CacheConfig("L1I", 1024, 32, 2)),
+                        memory=Rdram(), clock=HOST_CLOCK,
+                        dtlb=TLB(TLBConfig("TLB", page_size=128)))
+
+
+# ----------------------------------------------------------------------
+# Which decider runs
+# ----------------------------------------------------------------------
+def _decided(run):
+    before = Counter(hierarchy.DECIDED)
+    run()
+    after = Counter(hierarchy.DECIDED)
+    after.subtract(before)
+    return after
+
+
+#: The decider the hierarchy picks for long sequences of 2-way caches.
+LONG = "walk" if hierarchy._np is None else "numpy"
+
+
+def test_host_range_takes_the_expected_decider():
+    """A 64 KB host scan is 2,048 lines: numpy decides it when it imports."""
+    hier = build_host_hierarchy(HOST_CLOCK)
+    decided = _decided(lambda: hier.load_range(0x100000, 64 * 1024))
+    assert decided[LONG + ".sequences"] == 1
+    assert decided[LONG + ".accesses"] == 2048
+    # Counters stay plain ints (results are JSON-serialized).
+    counters = [hier.load_stall_ps, hier.tlb_stall_ps, *hier.memory._open_pages]
+    for stats in (hier.l1d.stats, hier.l2.stats, hier.dtlb.stats,
+                  hier.memory.stats):
+        counters += vars(stats).values()
+    assert all(type(value) is int for value in counters)
+
+
+def test_short_sequences_walk():
+    hier = build_host_hierarchy(HOST_CLOCK)
+    count = hierarchy.NUMPY_MIN_ACCESSES - 1
+    decided = _decided(lambda: hier.load_stride(0x100000, 128, count))
+    assert decided["walk.sequences"] == 1
+    assert decided["numpy.sequences"] == 0
+
+
+def test_hashjoin_normal_case_takes_the_expected_decider():
+    """Without this, a silent fallback to the walk passes every
+    correctness test and loses the numpy decider's speed."""
+    app = HashJoinApp(scale=1 / 256)
+    config = app.cluster_config().with_case(active=False, prefetch=False)
+    decided = _decided(lambda: app.run_case(config))
+    assert decided[LONG + ".sequences"] > 0
+    assert decided[LONG + ".accesses"] > 10_000
+    if LONG == "numpy":
+        assert decided["walk.sequences"] == 0
