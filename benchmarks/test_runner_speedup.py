@@ -33,11 +33,8 @@ from repro.sim.core import Environment
 
 def _snapshot(grid):
     """Lossless, order-stable encoding of a whole grid for comparison."""
-    return {
-        key: {label: encode_case(case)
-              for label, case in result.cases.items()}
-        for key, result in grid.items()
-    }
+    return [{label: encode_case(case)
+             for label, case in result.cases.items()} for result in grid]
 
 
 def test_parallel_grid_matches_serial_and_speeds_up(tmp_path):

@@ -68,7 +68,8 @@ from ..cluster.system import fault_counters
 from ..metrics.results import CaseResult
 from ..net.hca import HcaConfig
 from ..obs.registry import MetricsRegistry
-from ..runner.api import run
+from ..runner.api import run_many
+from ..runner.spec import make_spec
 from ..sim.core import Environment
 from ..sim.units import us
 
@@ -324,20 +325,26 @@ class FabricReduceApp:
 # ----------------------------------------------------------------------
 # Sweeps (Figures 15/16 and the vector-size extension)
 # ----------------------------------------------------------------------
-def reduce_speedup(**params) -> Dict[str, float]:
-    """Normal vs active latency of one ``repro.run("reduce", **params)``."""
-    cases = run("reduce", cases=("normal", "active"), **params).cases
-    normal, active = cases["normal"].exec_ps, cases["active"].exec_ps
-    return {"normal_us": normal / 1e6, "active_us": active / 1e6,
-            "speedup": normal / active}
+def reduce_speedups(points) -> List[Dict[str, float]]:
+    """Normal vs active latency of ``repro.run("reduce", **point)`` for
+    every point (``repro.run`` keywords), simulated as one batch."""
+    results = run_many([make_spec("reduce", **point) for point in points],
+                       cases=("normal", "active"))
+    rows = []
+    for result in results:
+        normal = result.cases["normal"].exec_ps
+        active = result.cases["active"].exec_ps
+        rows.append({"normal_us": normal / 1e6, "active_us": active / 1e6,
+                     "speedup": normal / active})
+    return rows
 
 
 def reduction_sweep(mode: str, node_counts=(2, 4, 8, 16, 32, 64, 128),
                     vector_bytes: int = VECTOR_BYTES):
     """Latency and speedup vs node count — one figure's data series."""
-    return [{"nodes": p, **reduce_speedup(hosts=p, mode=mode,
-                                          vector_bytes=vector_bytes)}
-            for p in node_counts]
+    rows = reduce_speedups(dict(hosts=p, mode=mode, vector_bytes=vector_bytes)
+                           for p in node_counts)
+    return [{"nodes": p, **row} for p, row in zip(node_counts, rows)]
 
 
 def vector_size_sweep(mode: str = REDUCE_TO_ONE, num_hosts: int = 64,
@@ -351,6 +358,6 @@ def vector_size_sweep(mode: str = REDUCE_TO_ONE, num_hosts: int = 64,
     exercise the ATB's conflict backpressure (a 8 KB vector spans 16
     regions — the whole direct-mapped reach).
     """
-    return [{"vector_bytes": size,
-             **reduce_speedup(hosts=num_hosts, mode=mode, vector_bytes=size)}
-            for size in sizes]
+    rows = reduce_speedups(dict(hosts=num_hosts, mode=mode, vector_bytes=size)
+                           for size in sizes)
+    return [{"vector_bytes": size, **row} for size, row in zip(sizes, rows)]

@@ -1,10 +1,11 @@
 """Parallel sort benchmark (paper Section 5, Figures 13/14).
 
-One-pass parallel sort of Datamation records (100 B, 10 B uniform keys)
-on p nodes; only the *data distribution* phase is simulated ("there is
-no difference between the active and normal cases in the sorting
-phase").  Normal: every node reads its 1/p of the input and sends each
-record to the node owning its key range.  Active: the switch handler
+One-pass parallel sort of Datamation records (100 B, 10 B uniform keys,
+or Zipf-skewed ones with ``key_skew``) on p nodes; only the *data
+distribution* phase is simulated ("there is no difference between the
+active and normal cases in the sorting phase").  Normal: every node
+reads its 1/p of the input and sends each record to the node owning its
+key range.  Active: the switch handler
 redistributes records in flight so "each node only gets the records
 assigned to it" — per-node traffic drops to 1/p of the total, i.e. a
 fraction p/(3p-2) of the normal case's (the paper's formula).
@@ -17,12 +18,12 @@ range decision, forwarding straight from the data buffers.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from ..cluster.config import ClusterConfig
 from ..cluster.iostream import ReadStream
 from ..cluster.system import System
-from ..workloads import datamation
+from ..workloads import datamation, zipf
 from .base import SystemApp
 
 try:
@@ -81,7 +82,8 @@ class SortApp(SystemApp):
     #: the I/O blocks and the record blocks stay in lockstep.
     request_bytes = (256 * 1024 // datamation.RECORD_BYTES) * datamation.RECORD_BYTES
 
-    def __init__(self, scale: float = 1.0, num_nodes: int = 4):
+    def __init__(self, scale: float = 1.0, num_nodes: int = 4,
+                 key_skew: Optional[float] = None):
         if scale <= 0:
             raise ValueError(f"scale must be positive, got {scale}")
         if num_nodes < 2:
@@ -93,14 +95,20 @@ class SortApp(SystemApp):
         total_records -= total_records % num_nodes
         self.records_per_node = total_records // num_nodes
         self.total_records = total_records
-        # Per source node: per-block destination counts.  Uniform keys
-        # partition by high bits: node = key * p / keyspace (equivalent
-        # to datamation.assign_node, vectorised for speed).
+        # Per source node: per-block destination counts.  Keys partition
+        # by high bits: node = key * p / keyspace (equivalent to
+        # datamation.assign_node, vectorised for speed).  ``key_skew``
+        # draws Zipf(key_skew) keys instead of uniform ones, which a
+        # static range partition leaves unbalanced.
         per_block_records = self.request_bytes // datamation.RECORD_BYTES
         self.node_blocks: List[List[List[int]]] = []
         for node in range(num_nodes):
-            keys = datamation.generate_keys(self.records_per_node,
-                                            seed=17 + node)
+            keys = (datamation.generate_keys(self.records_per_node,
+                                             seed=17 + node)
+                    if key_skew is None else
+                    zipf.generate_zipf_keys(self.records_per_node,
+                                            exponent=key_skew,
+                                            seed=31 + node))
             self.node_blocks.append(_block_owner_counts(
                 keys, per_block_records, num_nodes))
 

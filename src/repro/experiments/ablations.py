@@ -12,13 +12,15 @@ import inspect
 from dataclasses import replace
 from typing import Dict, List
 
-from ..apps.grep import GrepApp
-from ..apps.md5 import Md5App
-from ..apps.reduction import REDUCTION_HCA, reduce_speedup, vector_size_sweep
+from ..apps.reduction import REDUCTION_HCA, reduce_speedups, vector_size_sweep
 from ..apps.select import SelectApp
 from ..cluster.iostream import ReadStream
 from ..cluster.system import System
+from ..io.disk import DiskConfig
 from ..net import ActiveHeader, ChannelAdapter, Link, Message
+from ..runner.api import run_many
+from ..runner.harness import spec_app
+from ..runner.spec import make_spec
 from ..sim import Environment
 from ..sim.units import us
 from ..switch import ActiveSwitch, ActiveSwitchConfig
@@ -30,17 +32,13 @@ from .registry import Experiment, Shape, register
 # ----------------------------------------------------------------------
 def ablate_cut_through(scale: float = 1.0) -> Dict[str, float]:
     """Grep 'active' case with and without valid-bit overlap."""
-    times = {}
-    # One workload, both configurations: run_case rebuilds all mutable
-    # simulation state per call, so app reuse is bit-identical to
-    # fresh builds (tests/cluster/test_template.py).
-    app = GrepApp(scale=scale)
-    for cut_through, label in ((True, "cut-through"),
-                               (False, "store-and-forward")):
-        config = replace(
-            app.cluster_config().with_case(active=True, prefetch=False),
-            cut_through=cut_through)
-        times[label] = app.run_case(config).exec_ps
+    labels = {"cut-through": True, "store-and-forward": False}
+    results = run_many([make_spec("grep", scale=scale,
+                                  overrides={"cut_through": cut_through})
+                        for cut_through in labels.values()],
+                       cases=("active",))
+    times = {label: result.cases["active"].exec_ps
+             for label, result in zip(labels, results)}
     times["overlap benefit"] = (times["store-and-forward"]
                                 / times["cut-through"])
     return times
@@ -52,15 +50,13 @@ def ablate_cut_through(scale: float = 1.0) -> Dict[str, float]:
 def ablate_buffer_count(num_hosts: int = 8,
                         counts=(2, 4, 8, 16)) -> List[dict]:
     """Latency of an 8-way leaf reduction vs available data buffers."""
-    from ..runner.api import run
-
-    rows = []
-    for count in counts:
-        case = run("reduce", hosts=num_hosts, cases=("active",),
-                   overrides={"active_switch": ActiveSwitchConfig(
-                       num_buffers=count)}).cases["active"]
-        rows.append({"buffers": count, "latency_us": case.exec_ps / 1e6})
-    return rows
+    results = run_many(
+        [make_spec("reduce", hosts=num_hosts, overrides={
+            "active_switch": ActiveSwitchConfig(num_buffers=count)})
+         for count in counts], cases=("active",))
+    return [{"buffers": count,
+             "latency_us": result.cases["active"].exec_ps / 1e6}
+            for count, result in zip(counts, results)]
 
 
 # ----------------------------------------------------------------------
@@ -68,21 +64,24 @@ def ablate_buffer_count(num_hosts: int = 8,
 # ----------------------------------------------------------------------
 def ablate_clock_ratio(scale: float = 0.5,
                        freqs=(250e6, 500e6, 1e9, 2e9)) -> List[dict]:
-    """active+pref vs normal+pref speedup as the embedded core speeds up."""
-    rows = []
-    app = Md5App(scale=scale, num_switch_cpus=1)
-    for freq in freqs:
-        base = app.cluster_config()
-        normal = app.run_case(base.with_case(active=False, prefetch=True))
-        active_config = replace(
-            base.with_case(active=True, prefetch=True),
-            active_switch=ActiveSwitchConfig(num_cpus=1, cpu_freq_hz=freq))
-        active = app.run_case(active_config)
-        rows.append({
-            "freq_mhz": freq / 1e6,
-            "speedup": normal.exec_ps / active.exec_ps,
-        })
-    return rows
+    """active+pref vs normal+pref speedup as the embedded core speeds up.
+
+    The normal+pref baseline has no switch CPU, so one cell serves
+    every clock.
+    """
+    def md5(**overrides):
+        return make_spec("md5", scale=scale, num_switch_cpus=1,
+                         overrides=overrides)
+
+    normal, *actives = run_many(
+        [(md5(), ("normal+pref",))]
+        + [(md5(active_switch=ActiveSwitchConfig(num_cpus=1,
+                                                 cpu_freq_hz=freq)),
+            ("active+pref",)) for freq in freqs])
+    normal_ps = normal.cases["normal+pref"].exec_ps
+    return [{"freq_mhz": freq / 1e6,
+             "speedup": normal_ps / active.cases["active+pref"].exec_ps}
+            for freq, active in zip(freqs, actives)]
 
 
 # ----------------------------------------------------------------------
@@ -96,9 +95,10 @@ def ablate_prefetch_depth(scale: float = 1 / 32,
     request leaves the spindles idle between blocks; two keep them
     saturated — which is why execution time stops improving.
     """
+    # Its own driver: depths beyond 2 and disk utilization fit no case.
     rows = []
+    app = SelectApp(scale=scale)
     for depth in depths:
-        app = SelectApp(scale=scale)
         config = replace(app.cluster_config(), prefetch_depth=depth)
         system = System(config)
         runner = app.run_normal(system, depth)
@@ -167,6 +167,7 @@ def measure_forwarding_latency(active_load: bool,
 
 def ablate_noninterference(probes: int = 20) -> Dict[str, float]:
     """Forwarding latency with vs without concurrent active load."""
+    # Its own driver: a bare switch with probe endpoints, no app case.
     quiet = measure_forwarding_latency(active_load=False, probes=probes)
     loaded = measure_forwarding_latency(active_load=True, probes=probes)
     return {"quiet_us": quiet, "loaded_us": loaded,
@@ -182,6 +183,7 @@ def ablate_filter_placement(scale: float = 1 / 64,
     CPU; report how busy it is.  Far below saturation supports the
     paper's claim that a single active switch amortises across multiple
     passive devices instead of requiring one active disk each."""
+    # Its own driver: no app case runs several scans on one switch CPU.
     app = SelectApp(scale=scale)
     config = replace(app.cluster_config().with_case(active=True,
                                                     prefetch=True),
@@ -232,20 +234,15 @@ def ablate_storage_scaling(scale: float = 0.5,
     erodes — the forward-looking sensitivity the paper's fixed testbed
     could not show.
     """
-    from ..io.disk import DiskConfig
+    results = run_many(
+        [make_spec("grep", scale=scale, overrides={"disk": DiskConfig(
+            bandwidth_bytes_per_s=50e6 * multiplier)})
+         for multiplier in multipliers],
+        cases=("normal+pref", "active+pref"))
     rows = []
-    app = GrepApp(scale=scale)
-    for multiplier in multipliers:
-        disk = DiskConfig(
-            bandwidth_bytes_per_s=50e6 * multiplier)
-        config_n = replace(
-            app.cluster_config().with_case(active=False, prefetch=True),
-            disk=disk)
-        normal = app.run_case(config_n)
-        config_a = replace(
-            app.cluster_config().with_case(active=True, prefetch=True),
-            disk=disk)
-        active = app.run_case(config_a)
+    for multiplier, result in zip(multipliers, results):
+        normal = result.cases["normal+pref"]
+        active = result.cases["active+pref"]
         switch_busy = (active.switch_cpus[0].busy_frac
                        if active.switch_cpus else 0.0)
         rows.append({
@@ -266,17 +263,15 @@ def ablate_selectivity(scale: float = 1 / 128,
     The active switch's traffic reduction IS the predicate's
     selectivity; at 90 % kept there is little left to win.
     """
-    rows = []
-    for selectivity in selectivities:
-        from ..runner.api import run
-        result = run("select", scale=scale, selectivity=selectivity)
-        rows.append({
-            "selectivity": selectivity,
-            "traffic_fraction": result.normalized_traffic("active"),
-            "util_ratio": (result.utilization("normal+pref")
-                           / max(result.utilization("active+pref"), 1e-9)),
-        })
-    return rows
+    results = run_many([make_spec("select", scale=scale,
+                                  selectivity=selectivity)
+                        for selectivity in selectivities])
+    return [{
+        "selectivity": selectivity,
+        "traffic_fraction": result.normalized_traffic("active"),
+        "util_ratio": (result.utilization("normal+pref")
+                       / max(result.utilization("active+pref"), 1e-9)),
+    } for selectivity, result in zip(selectivities, results)]
 
 
 # ----------------------------------------------------------------------
@@ -291,6 +286,7 @@ def ablate_queueing_discipline(num_endpoints: int = 6,
     makes the cold traffic wait behind the hot in the input-queued
     switch; the output-queued design keeps the cold flows at wire speed.
     """
+    # Its own driver: bare passive switches under synthetic traffic.
     from ..net import ChannelAdapter, Link, Message
     from ..switch import BaseSwitch, InputQueuedSwitch, SwitchConfig
 
@@ -370,9 +366,10 @@ def ablate_receive_discipline(num_hosts: int = 64):
     # 2003 kernel, vs the 18 us user-level completion poll.
     interrupt = replace(REDUCTION_HCA, receive_mode="interrupt",
                         interrupt_cost_ps=30_000_000)
-    return {name: reduce_speedup(hosts=num_hosts, overrides={"hca": hca})
-            for name, hca in (("polling", REDUCTION_HCA),
-                              ("interrupt", interrupt))}
+    hcas = {"polling": REDUCTION_HCA, "interrupt": interrupt}
+    return dict(zip(hcas, reduce_speedups(
+        dict(hosts=num_hosts, overrides={"hca": hca})
+        for hca in hcas.values())))
 
 
 # ----------------------------------------------------------------------
@@ -387,42 +384,16 @@ def ablate_sort_skew(scale: float = 1 / 512,
     dominates the phase, and *both* systems degrade — the active
     switch redistributes in-flight but cannot repartition the ranges.
     """
-    from ..apps.sort import SortApp
-    from ..runner.api import run
-    from ..workloads import datamation, zipf
-
+    specs = [make_spec("sort", scale=scale, key_skew=exponent)
+             for exponent in exponents]
     rows = []
-    for exponent in exponents:
-        class SkewedSort(SortApp):
-            def __init__(self, scale=scale, exponent=exponent):
-                super().__init__(scale=scale)
-                # Re-derive per-block destination counts from skewed keys.
-                per_block = self.request_bytes // datamation.RECORD_BYTES
-                shift = 8 * datamation.KEY_BYTES
-                self.node_blocks = []
-                for node in range(self.num_nodes):
-                    keys = zipf.generate_zipf_keys(
-                        self.records_per_node, exponent=exponent,
-                        seed=31 + node)
-                    blocks = []
-                    for start in range(0, len(keys), per_block):
-                        counts = [0] * self.num_nodes
-                        for key in keys[start:start + per_block]:
-                            owner = (int.from_bytes(key, "big")
-                                     * self.num_nodes) >> shift
-                            counts[owner] += 1
-                        blocks.append(counts)
-                    self.node_blocks.append(blocks)
-
-        probe = SkewedSort()
+    for exponent, spec, result in zip(exponents, specs, run_many(specs)):
+        app = spec_app(spec)
         imbalance = max(
-            sum(counts[node] for blocks in probe.node_blocks
+            sum(counts[node] for blocks in app.node_blocks
                 for counts in blocks)
-            for node in range(probe.num_nodes)
-        ) / (probe.total_records / probe.num_nodes)
-        # SkewedSort is a local class closing over the sweep point, so
-        # it goes through run()'s factory path (serial, uncached).
-        result = run(lambda: SkewedSort())
+            for node in range(app.num_nodes)
+        ) / (app.total_records / app.num_nodes)
         rows.append({
             "zipf_exponent": exponent,
             "imbalance": imbalance,

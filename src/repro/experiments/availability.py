@@ -30,7 +30,8 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..faults import FailStopEvent, FailStopFaults, FaultPlan
-from ..runner.api import run
+from ..runner.api import run_many
+from ..runner.spec import make_spec
 from ..sim.units import us
 from .registry import Experiment, bounded, register
 
@@ -45,41 +46,45 @@ COLLECTIVE_TIMEOUT_PS = us(200)
 def availability_sweep(scale: float = 1.0) -> List[Dict]:
     """Rows for every (hosts, kill time) point, plus derived columns."""
     top = max(64, int(256 * scale))
+    points = [(num_hosts, kill_at_us) for num_hosts in HOST_COUNTS
+              if num_hosts <= top for kill_at_us in KILL_TIMES_US]
+    results = run_many([_point_spec(*point) for point in points],
+                       cases=("active",), seed=7)
     rows: List[Dict] = []
-    for num_hosts in [p for p in HOST_COUNTS if p <= top]:
-        # 256 hosts overflow a 16-port spine (32 leaves); use the
-        # 32-port building block there, paper-sized switches below.
-        shape = (dict(hosts_per_leaf=16, switch_ports=32)
-                 if num_hosts > 128 else {})
-        baseline_us = None
-        for kill_at_us in KILL_TIMES_US:
-            faults = None if kill_at_us is None else FaultPlan(
-                failstop=FailStopFaults(
-                    events=(FailStopEvent(kind="switch_down",
-                                          target="spine0",
-                                          at_ps=us(kill_at_us)),),
-                    collective_timeout_ps=COLLECTIVE_TIMEOUT_PS))
-            case = run("reduce", topology="fat_tree", hosts=num_hosts,
-                       cases=("active",), seed=7,
-                       overrides={"faults": faults},
-                       **shape).cases["active"]
-            extra = case.extra
-            latency_us = case.exec_ps / 1e6
-            if kill_at_us is None:
-                baseline_us = latency_us
-            rows.append({
-                "hosts": num_hosts,
-                "kill_at_us": kill_at_us,
-                "latency_us": latency_us,
-                "attempts": int(extra.get("collective_attempts", 1)),
-                "repairs": int(extra.get("collective_repairs", 0)),
-                "failovers": int(extra.get("fabric.failovers", 0)),
-                "detect_us": extra.get(
-                    "fabric.detection_latency_ps.max", 0) / 1e6,
-                "slowdown": latency_us / baseline_us,
-                "recover_us": latency_us - baseline_us,
-            })
+    for (num_hosts, kill_at_us), result in zip(points, results):
+        case = result.cases["active"]
+        extra = case.extra
+        latency_us = case.exec_ps / 1e6
+        if kill_at_us is None:
+            baseline_us = latency_us
+        rows.append({
+            "hosts": num_hosts,
+            "kill_at_us": kill_at_us,
+            "latency_us": latency_us,
+            "attempts": int(extra.get("collective_attempts", 1)),
+            "repairs": int(extra.get("collective_repairs", 0)),
+            "failovers": int(extra.get("fabric.failovers", 0)),
+            "detect_us": extra.get(
+                "fabric.detection_latency_ps.max", 0) / 1e6,
+            "slowdown": latency_us / baseline_us,
+            "recover_us": latency_us - baseline_us,
+        })
     return rows
+
+
+def _point_spec(num_hosts: int, kill_at_us):
+    """One (hosts, kill time) point as a ``repro.run("reduce")`` spec."""
+    # 256 hosts overflow a 16-port spine (32 leaves); use the 32-port
+    # building block there, paper-sized switches below.
+    shape = (dict(hosts_per_leaf=16, switch_ports=32)
+             if num_hosts > 128 else {})
+    faults = None if kill_at_us is None else FaultPlan(
+        failstop=FailStopFaults(
+            events=(FailStopEvent(kind="switch_down", target="spine0",
+                                  at_ps=us(kill_at_us)),),
+            collective_timeout_ps=COLLECTIVE_TIMEOUT_PS))
+    return make_spec("reduce", topology="fat_tree", hosts=num_hosts,
+                     overrides={"faults": faults}, **shape)
 
 
 def _measured(rows) -> Dict[str, float]:

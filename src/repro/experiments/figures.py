@@ -11,7 +11,8 @@ from typing import Dict
 
 from ..apps.reduction import DISTRIBUTED, REDUCE_TO_ONE, reduction_sweep
 from ..metrics.results import BenchmarkResult
-from ..runner.api import run as _run_benchmark
+from ..runner.api import run as _run_benchmark, run_many
+from ..runner.spec import make_spec
 from .registry import Experiment, Shape, bounded, quoted, register
 
 
@@ -437,10 +438,10 @@ register(Experiment(
 # Figure 17: MD5 with multiple switch CPUs
 # ----------------------------------------------------------------------
 def _run_md5(scale: float = 1.0):
-    return {
-        k: _run_benchmark("md5", scale=scale, num_switch_cpus=k)
-        for k in (1, 2, 4)
-    }
+    cpus = (1, 2, 4)
+    return dict(zip(cpus, run_many([make_spec("md5", scale=scale,
+                                              num_switch_cpus=k)
+                                    for k in cpus])))
 
 
 def _md5_measured(results) -> Dict[str, float]:
@@ -497,9 +498,11 @@ register(Experiment(
 # Table 2: reduction semantics (functional, not timed)
 # ----------------------------------------------------------------------
 def _run_table2(scale=None):
-    return {mode: _run_benchmark("reduce", hosts=8, mode=mode,
-                                 cases=("active",)).cases["active"]
-            for mode in (REDUCE_TO_ONE, DISTRIBUTED)}
+    modes = (REDUCE_TO_ONE, DISTRIBUTED)
+    results = run_many([make_spec("reduce", hosts=8, mode=mode)
+                        for mode in modes], cases=("active",))
+    return {mode: result.cases["active"]
+            for mode, result in zip(modes, results)}
 
 
 register(Experiment(

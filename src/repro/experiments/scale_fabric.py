@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..runner.api import run
+from ..runner.api import run_many
+from ..runner.spec import make_spec
 from .registry import Experiment, bounded, register
 
 #: Host counts swept (64 .. 1024; scale trims the top end).
@@ -45,14 +46,18 @@ def fabric_scale_sweep(scale: float = 1.0) -> List[Dict]:
     0.25 to 256, etc. — the shape is visible from 256 up.
     """
     top = max(64, int(1024 * scale))
+    points = [(num_hosts, system, case, placement)
+              for num_hosts in HOST_COUNTS if num_hosts <= top
+              for system, (case, placement) in SYSTEMS.items()]
+    results = run_many([(make_spec("reduce", hosts=num_hosts,
+                                   placement=placement), (case,))
+                        for num_hosts, _, case, placement in points])
     rows = []
-    for num_hosts in [p for p in HOST_COUNTS if p <= top]:
-        for system, (case, placement) in SYSTEMS.items():
-            result = run("reduce", hosts=num_hosts, placement=placement,
-                         cases=(case,)).cases[case]
-            rows.append({"system": system, "hosts": num_hosts,
-                         "depth": int(result.extra["fabric_depth"]),
-                         "latency_us": result.exec_ps / 1e6})
+    for (num_hosts, system, _, _), result in zip(points, results):
+        [case] = result.cases.values()
+        rows.append({"system": system, "hosts": num_hosts,
+                     "depth": int(case.extra["fabric_depth"]),
+                     "latency_us": case.exec_ps / 1e6})
     return rows
 
 

@@ -129,6 +129,7 @@ def compare_filter_placement(scale: float = 1 / 64) -> List[Dict]:
     total -= total % request
     total = max(total, 4 * request)
 
+    # Its own driver: active storage devices are no app case.
     rows = []
     for placement in ("host", "switch", "device", "two-level"):
         system = _build_system(

@@ -19,8 +19,8 @@ import json
 import sys
 import time
 
-from .api import RunResult
-from .harness import CASE_LABELS, ExperimentRunner
+from .api import run, run_many
+from .harness import CASE_LABELS
 from .progress import make_progress
 from .spec import DEFAULT_SCALES, make_spec, paper_grid
 
@@ -74,10 +74,10 @@ def _select_specs(args):
     return tuple(specs)
 
 
-def _run_grid(specs, cases, seed, runner, progress):
-    seeds = (seed,)
-    grid = runner.run_grid(specs, cases=cases, seeds=seeds)
-    return {label: bench for (label, _), bench in grid.items()}
+def _run_grid(specs, cases, seed, **harness):
+    """``{spec label: RunResult}`` for one :func:`run_many` batch."""
+    return {spec.label: result for spec, result in zip(
+        specs, run_many(specs, cases=cases, seed=seed, **harness))}
 
 
 def _trace_grid(specs, cases, seed):
@@ -86,11 +86,10 @@ def _trace_grid(specs, cases, seed):
     The merged mapping keys are ``"app/case"`` so every traced cell gets
     its own Perfetto process track in the single exported document.
     """
-    from .api import run as run_api
     grid = {}
     merged = {}
     for spec in specs:
-        result = run_api(spec, cases=cases, seed=seed, trace=True)
+        result = run(spec, cases=cases, seed=seed, trace=True)
         grid[spec.label] = result
         for case_label, collector in result.traces.items():
             merged[f"{spec.label}/{case_label}"] = collector
@@ -104,8 +103,6 @@ def main(argv=None) -> int:
              if args.cases else None)
     n_cases = len(cases) if cases else len(CASE_LABELS)
     progress = make_progress(len(specs) * n_cases, show=not args.quiet)
-    runner = ExperimentRunner(parallel=args.parallel, cache=args.cache,
-                              progress=progress)
 
     tracing = args.trace or args.trace_out is not None
     if tracing and args.parallel > 1:
@@ -121,7 +118,8 @@ def main(argv=None) -> int:
             print(f"trace: {len(document['traceEvents'])} events -> "
                   f"{args.trace_out}", file=sys.stderr)
     else:
-        grid = _run_grid(specs, cases, args.seed, runner, progress)
+        grid = _run_grid(specs, cases, args.seed, parallel=args.parallel,
+                         cache=args.cache, progress=progress)
     harness_s = time.perf_counter() - started
 
     if args.json:
@@ -155,10 +153,11 @@ def main(argv=None) -> int:
                   f"{harness_s:.1f}s wall", file=sys.stderr)
 
     if args.baseline_check:
-        serial = ExperimentRunner(parallel=1, cache=None)
         base_start = time.perf_counter()
-        baseline = _run_grid(specs, cases, args.seed, serial,
-                             make_progress(progress.total, show=False))
+        baseline = _run_grid(specs, cases, args.seed, parallel=1,
+                             cache=False,
+                             progress=make_progress(progress.total,
+                                                    show=False))
         baseline_s = time.perf_counter() - base_start
         mismatches = [label for label in grid
                       if grid[label].cases != baseline[label].cases]

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..metrics.results import BenchmarkResult, CaseResult
-from .harness import CASE_LABELS, Cell, ExperimentRunner, simulate_cell
+from .harness import (CASE_LABELS, Cell, ExperimentRunner, simulate_cell,
+                      spec_app)
 from .options import RunOptions, make_run_options
 from .progress import Progress
 from .spec import AppSpec, make_spec
@@ -36,16 +37,17 @@ _DEFAULTS: Dict[str, object] = {
     "parallel": 1,
     "cache": None,
     "show_progress": False,
-    "start_method": None,
 }
 
 
 def configure(**defaults) -> Dict[str, object]:
     """Set process-wide harness defaults; returns the effective set.
 
-    Recognized keys: ``parallel``, ``cache``, ``show_progress``,
-    ``start_method``.  ``python -m repro.experiments --parallel N``
-    calls this once so every registered experiment inherits the pool.
+    Recognized keys: ``parallel``, ``cache``, ``show_progress``.
+    ``python -m repro.experiments --parallel N --cache DIR`` calls this
+    once so every registered experiment inherits the pool and the
+    cache; ``cache`` also reaches ``repro.serve``, ``find_knee`` and
+    ``sweep_offered_load``.
     """
     unknown = set(defaults) - set(_DEFAULTS)
     if unknown:
@@ -139,7 +141,8 @@ def run(app, cases: Optional[Sequence[str]] = None, *,
         ``<cache dir>/profiles/``).  ``result.report().profile()``
         renders the top entries; the raw paths are in
         ``result.stats["profiles"]``.  Profiling forces serial
-        in-process execution and bypasses the cache, like tracing.
+        in-process execution and bypasses the cache, like tracing, and
+        composes with it: each case then gets both observers.
     progress:
         A live :class:`~repro.runner.Progress` sink (a runtime channel,
         not configuration — deliberately outside :class:`RunOptions`).
@@ -171,10 +174,9 @@ def _run_with_options(app, opts: RunOptions,
     runner = ExperimentRunner(
         parallel=_default("parallel", opts.parallel),
         cache=_default("cache", opts.cache), progress=progress,
-        show_progress=_default("show_progress", opts.show_progress),
-        start_method=_DEFAULTS["start_method"])  # type: ignore[arg-type]
-    result = runner.run_app(spec, cases=opts.cases, seed=opts.seed,
-                            name=opts.name)
+        show_progress=_default("show_progress", opts.show_progress))
+    [result] = runner.run_grid([spec], cases=opts.cases, seed=opts.seed)
+    result.name = opts.name or spec.app
     cache = runner.cache  # may be empty, hence len()==0 and falsy
     stats = {
         "parallel": runner.parallel,
@@ -200,7 +202,6 @@ def _run_in_process(factory, spec: Optional[AppSpec],
     """
     import cProfile
 
-    from ..cluster.template import cached_app
     from ..obs.export import write_chrome_trace
     from ..obs.trace import TraceCollector
     from .cache import default_cache_dir
@@ -216,7 +217,7 @@ def _run_in_process(factory, spec: Optional[AppSpec],
     results: Dict[str, CaseResult] = {}
     app_name = opts.name
     for label in CASE_LABELS if opts.cases is None else opts.cases:
-        app = factory() if factory is not None else cached_app(spec)
+        app = factory() if factory is not None else spec_app(spec)
         if app_name is None:
             app_name = app.name
         # A factory's app carries its own configuration: a bare spec's
@@ -245,36 +246,30 @@ def _run_in_process(factory, spec: Optional[AppSpec],
 
 
 def run_many(specs: Sequence, *,
+             cases: Optional[Sequence[str]] = None,
+             seed: Optional[int] = None,
              parallel: Optional[int] = None,
              cache=None,
-             cases: Optional[Sequence[str]] = None,
-             seeds: Sequence[Optional[int]] = (None,),
              show_progress: Optional[bool] = None,
-             progress: Optional[Progress] = None) -> Dict[str, RunResult]:
-    """Run several applications through one shared pool.
+             progress: Optional[Progress] = None) -> List[RunResult]:
+    """Run several applications as one batch through the harness.
 
-    ``specs`` items pass through :func:`make_spec`; the return maps each
-    spec's label to its :class:`RunResult`.  With multiple ``seeds`` the
-    key becomes ``"label#seed"``.
+    Each ``specs`` item is an application as :func:`run` takes it
+    (a factory excepted) or an ``(app, cases)`` pair that runs its own
+    case labels; ``cases`` (default: all four) applies to the rest.
+    Every cell goes through one pass of the cache and the pool, so
+    ``parallel`` and ``cache`` reach all of them.  Returns one
+    :class:`RunResult` per item, aligned with ``specs`` and named by
+    its spec's label.
     """
-    parallel = _default("parallel", parallel)
-    cache = _default("cache", cache)
-    show_progress = _default("show_progress", show_progress)
-    resolved = [make_spec(spec) if not isinstance(spec, AppSpec) else spec
-                for spec in specs]
+    items = [(make_spec(item[0]), item[1]) if isinstance(item, tuple)
+             else make_spec(item) for item in specs]
     runner = ExperimentRunner(
-        parallel=parallel, cache=cache, progress=progress,
-        show_progress=show_progress,
-        start_method=_DEFAULTS["start_method"])  # type: ignore[arg-type]
-    grid = runner.run_grid(resolved, cases=cases, seeds=seeds)
-    out: Dict[str, RunResult] = {}
-    for (label, seed), bench in grid.items():
-        key = label if seed is None and len(tuple(seeds)) == 1 else \
-            f"{label}#{seed}"
-        out[key] = RunResult.from_benchmark(bench, {
-            "parallel": runner.parallel,
-            "cache_dir": (str(runner.cache.root)
-                          if runner.cache is not None else None),
-            "seed": seed,
-        })
-    return out
+        parallel=_default("parallel", parallel),
+        cache=_default("cache", cache), progress=progress,
+        show_progress=_default("show_progress", show_progress))
+    stats = {"parallel": runner.parallel, "seed": seed,
+             "cache_dir": (str(runner.cache.root)
+                           if runner.cache is not None else None)}
+    return [RunResult.from_benchmark(bench, stats)
+            for bench in runner.run_grid(items, cases=cases, seed=seed)]

@@ -9,9 +9,8 @@ grid with
   environment, and cluster from those alone), so the same cell produces
   the bit-identical :class:`~repro.metrics.CaseResult` whether it runs
   serially, in a worker process, or is restored from cache;
-* **fan-out** across a process pool (``parallel`` workers, spawn start
-  method by default so results can never depend on inherited parent
-  state);
+* **fan-out** across a process pool (``parallel`` workers, spawn
+  started so results can never depend on inherited parent state);
 * **result caching** keyed by the cell fingerprint plus the code
   version (see :mod:`repro.runner.fingerprint`): a hit skips the
   simulation entirely and restores the stored result;
@@ -27,15 +26,15 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..cluster.config import CASE_ORDER
 from ..metrics.results import BenchmarkResult, CaseResult
 from .cache import ResultCache, decode_case, encode_case, resolve_cache
 from .fingerprint import FingerprintError, code_version, fingerprint
-from .pool import WorkerPool, resolve_start_method, shared_pool
+from .pool import WorkerPool, shared_pool
 from .progress import CellEvent, Progress, make_progress
-from .spec import AppSpec, make_spec
+from .spec import AppSpec
 
 #: The paper's presentation order for the four configurations.
 CASE_LABELS = CASE_ORDER
@@ -69,22 +68,28 @@ def cell_config(cell: Cell, app=None):
     return config.with_case_label(cell.case)
 
 
+def spec_app(spec: AppSpec):
+    """``spec``'s application, built once per process per app and
+    params: a preset or overrides shape the cell's configuration, not
+    the app, so specs that differ only there share one build."""
+    from ..cluster.template import cached_app
+    return cached_app(replace(spec, preset=None, overrides=()))
+
+
 def simulate_cell(cell: Cell, app=None, trace=None, profiler=None
                   ) -> Tuple[CaseResult, float, Optional[str]]:
     """The one cell body: build, configure, run, time, fingerprint.
 
     Returns ``(case, elapsed_s, config_print)``.  ``app`` supplies an
     already-built application (a factory's fresh instance) instead of
-    the spec's per-process cached one.  ``trace`` (a
+    the spec's per-process cached one (:func:`spec_app`).  ``trace`` (a
     ``repro.obs.TraceCollector``) and ``profiler`` (a
     ``cProfile.Profile``, enabled around ``run_case`` only) are optional
     observers; neither changes the result.
     """
-    from ..cluster.template import cached_app
-
     started = time.perf_counter()
     if app is None:
-        app = cached_app(cell.spec)
+        app = spec_app(cell.spec)
     config = cell_config(cell, app)
     if profiler is not None:
         profiler.enable()
@@ -145,7 +150,6 @@ class ExperimentRunner:
                  cache: Union[None, bool, str, "os.PathLike", ResultCache] = None,
                  progress: Optional[Progress] = None,
                  show_progress: bool = False,
-                 start_method: Optional[str] = None,
                  pool: Optional[WorkerPool] = None):
         if parallel < 1:
             raise ValueError(f"parallel must be >= 1, got {parallel}")
@@ -153,7 +157,6 @@ class ExperimentRunner:
         self.cache = resolve_cache(cache)
         self._progress = progress
         self._show_progress = show_progress
-        self._start_method = resolve_start_method(start_method)
         #: Explicit pool injection (tests); ``None`` draws from the
         #: process-wide warm pool (:func:`repro.runner.pool.shared_pool`).
         self._pool = pool
@@ -197,7 +200,7 @@ class ExperimentRunner:
     def _run_pool(self, pending, cells, results, progress) -> None:
         workers = min(self.parallel, len(pending))
         pool = self._pool if self._pool is not None \
-            else shared_pool(workers, self._start_method)
+            else shared_pool(workers)
         outcomes = pool.imap_unordered(_execute_cell, pending)
         for status, index, payload, elapsed, config_print in outcomes:
             cell = cells[index]
@@ -231,48 +234,30 @@ class ExperimentRunner:
             case=cell.case, elapsed_s=elapsed, cached=cached,
             exec_ps=case.exec_ps))
 
-    # ------------------------------------------------------------------
-    # Grid conveniences
-    # ------------------------------------------------------------------
-    def run_app(self, app, cases: Optional[Sequence[str]] = None,
-                seed: Optional[int] = None, name: Optional[str] = None,
-                **params) -> BenchmarkResult:
-        """All requested cases of one application as a result object."""
-        spec = make_spec(app, **params)
-        labels = tuple(cases) if cases is not None else CASE_LABELS
-        cells = [Cell(spec=spec, case=label, seed=seed) for label in labels]
-        results = self.run_cells(cells)
-        return BenchmarkResult(
-            name=name or spec.app,
-            cases={label: case for label, case in zip(labels, results)})
-
-    def run_grid(self, specs: Sequence[AppSpec],
+    def run_grid(self, specs: Sequence,
                  cases: Optional[Sequence[str]] = None,
-                 seeds: Sequence[Optional[int]] = (None,),
-                 ) -> Dict[Tuple[str, Optional[int]], BenchmarkResult]:
-        """The full (app x case x seed) grid in one pool pass.
+                 seed: Optional[int] = None) -> List[BenchmarkResult]:
+        """Every requested case of every spec in one :meth:`run_cells`.
 
-        Returns ``{(spec label, seed): BenchmarkResult}``; every cell of
-        every application shares the same pool, so wide grids load all
-        workers even when individual apps have few cases.
+        Each ``specs`` item is an :class:`AppSpec`, or an ``(AppSpec,
+        cases)`` pair naming that item's own case labels; ``cases``
+        (default: all four) applies to the bare specs.  All cells share
+        one pass through the cache and the pool, so wide grids load
+        every worker even when each spec has few cases.  Returns one
+        ``BenchmarkResult`` per item, aligned with ``specs`` and named
+        by its spec's label.
         """
         labels = tuple(cases) if cases is not None else CASE_LABELS
-        cells = [Cell(spec=spec, case=label, seed=seed)
-                 for spec in specs for seed in seeds for label in labels]
-        results = self.run_cells(cells)
-        grid: Dict[Tuple[str, Optional[int]], BenchmarkResult] = {}
-        cursor = 0
-        for spec in specs:
-            for seed in seeds:
-                cases_map = {}
-                for label in labels:
-                    cases_map[label] = results[cursor]
-                    cursor += 1
-                grid[(spec.label, seed)] = BenchmarkResult(
-                    name=spec.label, cases=cases_map)
-        return grid
+        items = [(item[0], tuple(item[1])) if isinstance(item, tuple)
+                 else (item, labels) for item in specs]
+        results = iter(self.run_cells(
+            [Cell(spec=spec, case=label, seed=seed)
+             for spec, item_labels in items for label in item_labels]))
+        return [BenchmarkResult(name=spec.label,
+                                cases={label: next(results)
+                                       for label in item_labels})
+                for spec, item_labels in items]
 
     def __repr__(self) -> str:
         root = self.cache.root if self.cache is not None else None
-        return (f"<ExperimentRunner parallel={self.parallel} "
-                f"cache={root} start={self._start_method}>")
+        return f"<ExperimentRunner parallel={self.parallel} cache={root}>"

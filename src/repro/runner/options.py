@@ -69,9 +69,6 @@ class RunOptions:
         object.__setattr__(self, "overrides",
                            _as_items(self.overrides, "overrides"))
         object.__setattr__(self, "params", _as_items(self.params, "params"))
-        if self.profile and self.trace:
-            raise ValueError("profile=True and trace are mutually "
-                             "exclusive; run them separately")
         if self.parallel is not None and self.parallel < 1:
             raise ValueError(
                 f"parallel must be >= 1, got {self.parallel}")

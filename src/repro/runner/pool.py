@@ -18,14 +18,15 @@ simulates skips both.
 
 Correctness guards:
 
-* the pool is keyed by start method **and** the simulation-mode
-  environment (``REPRO_SIM_FLUID``): spawned workers copy the parent
-  environment at creation, so flipping the mode after the pool exists
-  must retire the old workers — reusing them would silently simulate
-  in the wrong mode;
+* the pool is keyed by the simulation-mode environment
+  (``REPRO_SIM_FLUID``): spawned workers copy the parent environment
+  at creation, so flipping the mode after the pool exists must retire
+  the old workers — reusing them would silently simulate in the wrong
+  mode;
 * determinism is untouched: workers receive frozen specs and return
   the cache codec's JSON dicts, exactly as the per-call pools did, and
-  the spawn start method still guarantees no inherited parent state.
+  the spawn start method (the only one) guarantees no inherited parent
+  state.
 """
 
 from __future__ import annotations
@@ -35,16 +36,8 @@ import multiprocessing
 import os
 from typing import Optional, Tuple
 
-#: Environment variable overriding the multiprocessing start method.
-START_METHOD_ENV = "REPRO_RUNNER_START_METHOD"
-
 #: Simulation-mode variables a worker bakes in at spawn time.
 _SIM_ENV_VARS = ("REPRO_SIM_FLUID",)
-
-
-def resolve_start_method(start_method: Optional[str]) -> str:
-    """``start_method``, else :data:`START_METHOD_ENV`, else spawn."""
-    return start_method or os.environ.get(START_METHOD_ENV, "spawn")
 
 
 def _sim_signature() -> Tuple[Optional[str], ...]:
@@ -70,15 +63,15 @@ class WorkerPool:
 
     Thin wrapper over ``multiprocessing.pool.Pool`` that (a) defers
     creation until the first task batch, (b) warms workers through
-    :func:`_warm_worker`, and (c) remembers its start method and size
-    so :func:`shared_pool` can decide whether it is reusable.
+    :func:`_warm_worker`, and (c) remembers its size and sim-mode
+    environment so :func:`shared_pool` can decide whether it is
+    reusable.
     """
 
-    def __init__(self, workers: int, start_method: Optional[str] = None):
+    def __init__(self, workers: int):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.start_method = resolve_start_method(start_method)
         self.sim_signature = _sim_signature()
         self._pool = None
         self.closed = False
@@ -88,7 +81,7 @@ class WorkerPool:
         if self.closed:
             raise RuntimeError("worker pool is closed")
         if self._pool is None:
-            context = multiprocessing.get_context(self.start_method)
+            context = multiprocessing.get_context("spawn")
             self.sim_signature = _sim_signature()
             self._pool = context.Pool(processes=self.workers,
                                       initializer=_warm_worker)
@@ -112,37 +105,30 @@ class WorkerPool:
     def __repr__(self) -> str:
         state = ("closed" if self.closed
                  else "warm" if self._pool is not None else "cold")
-        return (f"<WorkerPool {self.workers} workers "
-                f"start={self.start_method} {state}>")
+        return f"<WorkerPool {self.workers} workers {state}>"
 
 
 _SHARED: Optional[WorkerPool] = None
 
 
-def shared_pool(workers: int, start_method: Optional[str] = None) -> WorkerPool:
+def shared_pool(workers: int) -> WorkerPool:
     """The process-wide warm pool, created/grown/recycled on demand.
 
     Reuses the existing pool when it is at least ``workers`` wide and
-    was spawned under the same start method and sim-mode environment;
-    otherwise the old pool is retired and a fresh one (sized to the
-    larger of the two requests, so alternating callers don't thrash)
-    replaces it.
+    was spawned under the same sim-mode environment; otherwise the old
+    pool is retired and a fresh one (sized to the larger of the two
+    requests, so alternating callers don't thrash) replaces it.
     """
     global _SHARED
-    method = resolve_start_method(start_method)
     pool = _SHARED
-    if pool is not None and not pool.closed \
-            and pool.start_method == method \
-            and pool.sim_signature == _sim_signature() \
-            and pool.workers >= workers:
+    current = pool is not None and not pool.closed \
+        and pool.sim_signature == _sim_signature()
+    if current and pool.workers >= workers:
         return pool
-    size = workers
+    size = max(workers, pool.workers) if current else workers
     if pool is not None:
-        if not pool.closed and pool.start_method == method \
-                and pool.sim_signature == _sim_signature():
-            size = max(size, pool.workers)
         pool.close()
-    _SHARED = WorkerPool(size, method)
+    _SHARED = WorkerPool(size)
     return _SHARED
 
 

@@ -523,7 +523,8 @@ def serve(app="grep", *, cache=None, trace=None, **params) -> ServiceResult:
         print(result.report().latency())
 
     ``cache`` works like ``repro.run``'s: ``True`` for the default
-    directory, a path, or a :class:`~repro.runner.ResultCache`.  Cached
+    directory, a path, or a :class:`~repro.runner.ResultCache`; omitted,
+    it is :func:`repro.configure`'s default.  Cached
     results restore bit-identically (the codec is lossless).  ``trace``
     is an optional ``repro.obs.TraceCollector`` receiving one instant
     per request transition (arrival/admit/drop/dispatch/complete);
@@ -532,9 +533,16 @@ def serve(app="grep", *, cache=None, trace=None, **params) -> ServiceResult:
     spec = make_service_spec(app, **params)
     if trace is not None:
         return _simulate(spec, trace=trace)
-    from ..runner.cache import resolve_cache
-    [(result, _)] = _evaluate([spec], resolve_cache(cache))
+    [(result, _)] = _evaluate([spec], _store(cache))
     return result
+
+
+def _store(cache):
+    """The result store a ``cache`` argument names; omitted (``None``),
+    :func:`repro.configure`'s default, as for ``repro.run``."""
+    from ..runner.api import _default
+    from ..runner.cache import resolve_cache
+    return resolve_cache(_default("cache", cache))
 
 
 def _evaluate(points: Sequence[ServiceSpec], store,

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..metrics.report import render_table
 from .service import (ServiceResult, ServiceSpec, _evaluate, _simulate,
-                      _sustained)
+                      _store, _sustained)
 
 #: Continuous-range searches stop doubling after this many probes (a
 #: configuration sustaining lo * 2**20 has no knee worth bracketing).
@@ -108,7 +108,6 @@ class ServiceSweep:
 
 def sweep_offered_load(spec: ServiceSpec, rates: Sequence[float], *,
                        parallel: int = 1, cache=None,
-                       start_method: Optional[str] = None,
                        pool=None) -> ServiceSweep:
     """Run ``spec`` at each offered rate in ``rates``.
 
@@ -118,7 +117,8 @@ def sweep_offered_load(spec: ServiceSpec, rates: Sequence[float], *,
     sweep and grid in the process; ``pool`` injects an explicit
     :class:`~repro.runner.pool.WorkerPool` instead.  ``cache``
     reuses/persists per-point results keyed by spec content + code
-    version.  All three paths (serial, pool, cache-restored) produce
+    version (omitted: :func:`repro.configure`'s default, as for
+    ``repro.run``).  All three paths (serial, pool, cache-restored) produce
     field-identical results — the pool ships frozen specs out and
     lossless result dicts back, and the cache codec round-trips floats
     exactly.
@@ -132,13 +132,12 @@ def sweep_offered_load(spec: ServiceSpec, rates: Sequence[float], *,
         workers = pool
         if workers is None:
             from ..runner.pool import shared_pool
-            workers = shared_pool(min(parallel, len(misses)), start_method)
+            workers = shared_pool(min(parallel, len(misses)))
         return [ServiceResult.from_dict(payload)
                 for payload in workers.map(_sweep_worker, misses)]
 
-    from ..runner.cache import resolve_cache
     evaluated = _evaluate([spec.at_rate(rate) for rate in rates],
-                          resolve_cache(cache), simulate)
+                          _store(cache), simulate)
     return ServiceSweep(spec=spec,
                         results=[result for result, _ in evaluated])
 
@@ -211,9 +210,10 @@ def find_knee(spec: ServiceSpec,
       (or ``hi`` caps the range), then rate bisection until the bracket
       is narrower than ``resolution`` (default ``lo / 8``).
 
-    Every distinct rate is evaluated once (memoized) and, when
-    ``cache`` is given, consulted against / persisted to the result
-    cache under the same keys ``serve()`` and ``sweep_offered_load``
+    Every distinct rate is evaluated once (memoized) and, under a
+    result cache (``cache``, or when it is omitted
+    :func:`repro.configure`'s default), consulted against / persisted
+    to it under the same keys ``serve()`` and ``sweep_offered_load``
     use — so a warm cache makes a repeated search cost **zero** new
     simulations, and grid points simulated here are reusable by later
     full sweeps.  ``evaluate`` swaps the simulator for a synthetic
@@ -224,9 +224,8 @@ def find_knee(spec: ServiceSpec,
     """
     slo = spec.slo_ms if slo_ms is None else slo_ms
     search = KneeSearch(spec=spec, slo_ms=slo, max_drop_rate=max_drop_rate)
-    from ..runner.cache import resolve_cache
     # A synthetic curve never touches the result cache.
-    store = resolve_cache(cache) if evaluate is None else None
+    store = _store(cache) if evaluate is None else None
     simulate = (None if evaluate is None
                 else lambda points: [evaluate(point) for point in points])
     memo: Dict[float, ServiceResult] = {}

@@ -97,27 +97,3 @@ def test_fault_free_results_carry_no_fault_keys():
                       cases=("active",)).cases["active"].extra
     assert not {key for key in extra
                 if key.startswith(("link_", "handler_", "injected_"))}
-
-
-def test_registry_reductions_restore_from_the_result_cache(tmp_path,
-                                                          monkeypatch):
-    """Figure 15's points run through the harness, so a configured
-    cache restores every (host count, case) point of a second run."""
-    import repro.experiments as experiments
-    from repro.apps.reduction import FabricReduceApp
-
-    experiment = experiments.get("fig15_reduce_to_one")
-    saved = repro.configure()
-    try:
-        repro.configure(cache=str(tmp_path))
-        first = experiment.run()
-        # Seven host counts, a normal and an active case each.
-        assert len(repro.ResultCache(tmp_path)) == 14
-
-        def simulate(*args, **kwargs):
-            raise AssertionError("a cached point was simulated again")
-
-        monkeypatch.setattr(FabricReduceApp, "run_case", simulate)
-        assert experiment.run() == first
-    finally:
-        repro.configure(**saved)

@@ -58,14 +58,6 @@ def test_shared_pool_recycles_on_sim_env_change(monkeypatch):
     assert shared_pool(2) is not recycled
 
 
-def test_shared_pool_recycles_on_start_method_change():
-    if os.name != "posix":  # pragma: no cover - fork is POSIX-only
-        pytest.skip("fork start method requires POSIX")
-    pool = shared_pool(2, "spawn")
-    other = shared_pool(2, "fork")
-    assert other is not pool and pool.closed
-
-
 def test_worker_pool_validation_and_close():
     with pytest.raises(ValueError):
         WorkerPool(0)
@@ -83,13 +75,12 @@ def test_worker_pool_validation_and_close():
 def test_runner_and_sweep_share_one_warm_pool():
     from repro.runner.cache import encode_case
 
-    serial = ExperimentRunner(parallel=1).run_grid([SPEC])
-    fanned = ExperimentRunner(parallel=2).run_grid([SPEC])
-    key = (SPEC.label, None)
+    [serial] = ExperimentRunner(parallel=1).run_grid([SPEC])
+    [fanned] = ExperimentRunner(parallel=2).run_grid([SPEC])
     assert {label: encode_case(case)
-            for label, case in fanned[key].cases.items()} == \
+            for label, case in fanned.cases.items()} == \
         {label: encode_case(case)
-         for label, case in serial[key].cases.items()}
+         for label, case in serial.cases.items()}
 
     # The grid run above created the shared pool; the sweep must draw
     # from the same warm workers, and its results must match serial.

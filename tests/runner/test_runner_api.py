@@ -6,6 +6,7 @@ import repro
 from repro.apps.grep import GrepApp
 from repro.runner.api import RunResult, configure, run, run_many
 from repro.runner.options import RunOptions, make_run_options
+from repro.runner.spec import make_spec
 from repro.runner.cache import encode_case
 
 
@@ -82,11 +83,33 @@ def test_configure_rejects_unknown_keys():
 
 
 def test_run_many_shared_pool():
-    results = run_many(["grep"], cases=("normal",))
+    [result] = run_many(["grep"], cases=("normal",))
     # Registered names pass through make_spec with default parameters
     # (scale=1.0), so keep this to one cheap case.
-    assert set(results) == {"grep"}
-    assert isinstance(results["grep"], RunResult)
+    assert isinstance(result, RunResult)
+    assert tuple(result.cases) == ("normal",)
+
+
+def test_run_many_gives_every_input_its_own_result():
+    """A label leaves out scale, preset and overrides; specs sharing
+    one still get one result each, aligned with the input."""
+    specs = [make_spec("grep", scale=0.05), make_spec("grep", scale=0.1),
+             make_spec("grep", scale=0.05, preset="fast_storage")]
+    results = run_many(specs, cases=("normal",))
+    assert [type(result) for result in results] == [RunResult] * 3
+    for spec, result in zip(specs, results):
+        assert result.name == "grep"
+        assert result.cases == run(spec, cases=("normal",)).cases
+    assert len({result.case("normal").exec_ps for result in results}) == 3
+
+
+def test_run_many_items_carry_their_own_cases():
+    spec = make_spec("grep", scale=0.05)
+    own, shared = run_many([(spec, ("active",)), spec],
+                           cases=("normal", "active"))
+    assert tuple(own.cases) == ("active",)
+    assert tuple(shared.cases) == ("normal", "active")
+    assert own.cases["active"] == shared.cases["active"]
 
 
 def test_report_accessor():
@@ -126,6 +149,18 @@ def test_profile_run_dumps_pstats(tmp_path, monkeypatch):
     assert plain.report().profile() == ""
 
 
-def test_profile_and_trace_are_exclusive():
-    with pytest.raises(ValueError):
-        run("grep", scale=0.05, profile=True, trace=True)
+def test_profile_and_trace_compose(tmp_path, monkeypatch):
+    """Both observers on one run: the plain run's CaseResults, one trace
+    collector and one pstats file per case."""
+    import pstats
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    cases = ("normal", "active")
+    plain = run("grep", scale=0.05, cases=cases)
+    both = run("grep", scale=0.05, cases=cases, profile=True, trace=True)
+    assert both.cases == plain.cases
+    assert set(both.traces) == set(cases)
+    assert all(len(collector) for collector in both.traces.values())
+    assert set(both.stats["profiles"]) == set(cases)
+    for path in both.stats["profiles"].values():
+        assert pstats.Stats(path).total_calls

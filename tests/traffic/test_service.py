@@ -203,6 +203,24 @@ def test_sweep_uses_cache(tmp_path):
         [r.to_dict() for r in second.results]
 
 
+def test_configured_cache_reaches_the_service_layer(tmp_path):
+    """With ``cache`` omitted, serve, sweeps and knee searches use
+    ``repro.configure``'s default cache, as ``repro.run`` does."""
+    from repro.traffic import find_knee
+
+    spec = ServiceSpec(**FAST)
+    saved = repro.configure()
+    try:
+        repro.configure(cache=str(tmp_path))
+        serve(spec)
+        assert len(repro.ResultCache(tmp_path)) == 1
+        sweep_offered_load(spec, (1000.0, 2000.0))
+        assert len(repro.ResultCache(tmp_path)) == 3
+        assert find_knee(spec, (1000.0, 2000.0, 4000.0)).sims == 0
+    finally:
+        repro.configure(**saved)
+
+
 def test_simulate_equals_serve():
     # The pool entry point and the front door agree exactly.
     spec = ServiceSpec(**FAST)
