@@ -172,7 +172,7 @@ class System:
                      "bytes_written", "positioning_ps", "transfer_ps_total",
                      "transient_errors", "retries"])
                 m.register(f"disk.{disk.name}.utilization",
-                           disk.busy.utilization)
+                           disk.utilization)
         if isinstance(self.switch, ActiveSwitch):
             switch = self.switch
             for cpu in switch.cpus:

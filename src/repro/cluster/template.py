@@ -48,10 +48,10 @@ def cached_app(spec):
 
     One build per process per spec content: the four cases of a grid
     cell, every rate point of a sweep, and every timed pass of the repo
-    benchmark (``benchmarks/e2e/run.py``) share the instance.  Apps are
-    read-only at simulation time (each ``run_case``/service run builds
-    its own System and workload state), so sharing is bit-identical to
-    cold builds — proven by ``tests/cluster/test_template.py``.
+    benchmark (``benchmarks/e2e/run.py``) share the instance.  Runs
+    build their own System and workload state (a reduce app keeps only
+    its fabric audit's verdict), so sharing is bit-identical to cold
+    builds — proven by ``tests/cluster/test_template.py``.
     """
     try:
         app = _APP_CACHE.get(spec)

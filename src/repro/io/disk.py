@@ -15,8 +15,8 @@ only when the head moves away from the previous request's end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from ..metrics.sampling import BusyTracker
 from ..sim.core import Environment
 from ..sim.units import SEC, ms, transfer_ps
 
@@ -78,11 +78,15 @@ class Disk:
         self.name = name
         self.config = config
         self.stats = DiskStats()
-        self.busy = BusyTracker(env)
+        #: Picoseconds the arm has spent on requests (retries included).
+        self.busy_ps = 0
+        self._built_ps = env.now
+        self._positioning_ps = config.seek_ps + config.half_rotation_ps
         self._head_position = -1  # byte offset after the last transfer
         #: When the arm finishes the last request handed to it.
         self._arm_free_ps = 0
         self._injector = None
+        self._faults = None  # the injector's disk plan, when enabled
         env.add_context_provider(self._failure_context)
 
     def _failure_context(self) -> dict:
@@ -94,11 +98,20 @@ class Disk:
     def attach_faults(self, injector) -> None:
         """Subject this spindle to ``injector``'s fault plan."""
         self._injector = injector
+        faults = injector.plan.disk
+        self._faults = faults if faults.enabled else None
 
     def position_head(self, offset: int) -> None:
         """Pre-position the head (models OS read-ahead having already
         seeked, or a file contiguous with prior activity)."""
         self._head_position = offset
+
+    def utilization(self, until_ps: Optional[int] = None) -> float:
+        """Busy fraction of the time from construction to ``until_ps``
+        (default now)."""
+        span = (self.env.now if until_ps is None else until_ps) \
+            - self._built_ps
+        return self.busy_ps / span if span > 0 else 0.0
 
     def access_burst(self, at_ps: int, offset: int, nbytes: int,
                      write: bool):
@@ -122,39 +135,43 @@ class Disk:
         """
         if nbytes <= 0:
             raise ValueError(f"request size must be positive, got {nbytes}")
+        return self._access(
+            at_ps, offset, nbytes, offset + nbytes, write,
+            transfer_ps(nbytes, self.config.bandwidth_bytes_per_s),
+            self.env.trace)
+
+    def _access(self, at_ps: int, offset: int, nbytes: int, head: int,
+                write: bool, transfer: int, trace):
+        """:meth:`access_burst` given ``nbytes``' ``transfer`` time, the
+        ``head`` position it ends at, and the environment's ``trace``."""
         start = at_ps if at_ps > self._arm_free_ps else self._arm_free_ps
         stats = self.stats
         stats.requests += 1
-        transfer = transfer_ps(nbytes, self.config.bandwidth_bytes_per_s)
-        injector = self._injector
-        faults = (injector.plan.disk if injector is not None
-                  and injector.plan.disk.enabled else None)
         t = start
-        data_start = None
+        if offset == self._head_position:
+            stats.sequential_requests += 1
+        else:
+            stats.positioning_ps += self._positioning_ps
+            t += self._positioning_ps
+        data_start = t
+        faults = self._faults
         attempt = 0
-        while True:
-            if offset == self._head_position:
-                stats.sequential_requests += 1
-            else:
-                positioning = self.config.seek_ps + self.config.half_rotation_ps
-                stats.positioning_ps += positioning
-                t += positioning
-            if data_start is None:
-                data_start = t
-            if faults is None or not injector.disk_error(self.name, write):
-                break
+        while faults is not None and \
+                self._injector.disk_error(self.name, write):
             stats.transient_errors += 1
             t += transfer // 2
-            self._head_position = -1
             if attempt >= faults.max_retries:
-                self.busy.credit(t - start)
+                self._head_position = -1
+                self.busy_ps += t - start
                 self._arm_free_ps = t
                 raise DiskError(
                     f"{self.name}: {'write' if write else 'read'} of "
                     f"{nbytes} B at {offset} failed after "
                     f"{faults.max_retries} retries")
             stats.retries += 1
-            t += faults.retry_backoff_ps * (2 ** attempt)
+            stats.positioning_ps += self._positioning_ps
+            t += faults.retry_backoff_ps * (2 ** attempt) \
+                + self._positioning_ps
             attempt += 1
         stats.transfer_ps_total += transfer
         if write:
@@ -162,10 +179,9 @@ class Disk:
         else:
             stats.bytes_read += nbytes
         done = t + transfer
-        self._head_position = offset + nbytes
-        self.busy.credit(done - start)
+        self._head_position = head
+        self.busy_ps += done - start
         self._arm_free_ps = done
-        trace = self.env.trace
         if trace is not None:
             trace.span(self.name, "disk.write" if write else "disk.read",
                        start, done - start, offset=offset, bytes=nbytes,
@@ -223,20 +239,29 @@ class DiskArray:
     def _access_burst(self, at_ps: int, offset: int, nbytes: int,
                       write: bool):
         """Split one logical request evenly across the spindles, which
-        transfer in parallel."""
+        transfer in parallel: each moves up to ``ceil(nbytes / n)`` bytes
+        at ``offset // n`` and leaves its head at ``(offset + nbytes) //
+        n``, where the next sequential request starts."""
         if nbytes <= 0:
             raise ValueError(f"{'write' if write else 'read'} size must be "
                              f"positive, got {nbytes}")
-        share = -(-nbytes // len(self.disks))
+        n = len(self.disks)
+        chunk = -(-nbytes // n)
+        bandwidth = self.config.bandwidth_bytes_per_s
+        transfer = transfer_ps(chunk, bandwidth)
+        spindle_offset, head = offset // n, (offset + nbytes) // n
+        trace = self.env.trace
         remaining = nbytes
         started = done = None
-        for index, disk in enumerate(self.disks):
-            chunk = min(share, remaining)
-            if chunk <= 0:
-                break
-            data_start, disk_done = disk.access_burst(
-                at_ps, offset // len(self.disks), chunk, write)
-            if index == 0:
+        for disk in self.disks:
+            if remaining < chunk:
+                if remaining <= 0:
+                    break
+                chunk = remaining
+                transfer = transfer_ps(chunk, bandwidth)
+            data_start, disk_done = disk._access(
+                at_ps, spindle_offset, chunk, head, write, transfer, trace)
+            if started is None:
                 started = data_start
             if done is None or disk_done > done:
                 done = disk_done
@@ -262,9 +287,7 @@ class DiskArray:
 
     def utilization(self) -> float:
         """Mean spindle busy fraction since simulation start."""
-        if not self.disks:
-            return 0.0
-        return sum(d.busy.utilization() for d in self.disks) / len(self.disks)
+        return sum(d.utilization() for d in self.disks) / len(self.disks)
 
     def transfer_ps(self, nbytes: int) -> int:
         """Analytic aggregate transfer time for a sequential stream."""

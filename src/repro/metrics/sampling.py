@@ -51,20 +51,6 @@ class TimeWeighted:
         """Adjust the value by ``delta`` (queue join/leave)."""
         self.set(self._value + delta)
 
-    def credit(self, area: float) -> None:
-        """Add ``area`` (value x ps) directly to the running integral.
-
-        The burst fast path computes component busy intervals
-        analytically, at times that never coincide with ``env.now``, so
-        it cannot toggle the signal with :meth:`set`.  Crediting the
-        interval's area keeps :meth:`mean` bit-identical to the
-        event-driven toggles as long as the credited intervals are
-        disjoint and the signal itself stays at its initial value —
-        exactly the burst-mode invariant (a component is either fully
-        analytic or fully event-driven for a run, never both).
-        """
-        self._integral += area
-
     def mean(self, until_ps: Optional[int] = None) -> float:
         """Time-weighted mean from creation to ``until_ps`` (default now).
 
@@ -122,17 +108,6 @@ class BusyTracker:
         self._depth -= 1
         if self._depth == 0:
             self._signal.set(0.0)
-
-    def credit(self, busy_ps: int) -> None:
-        """Account a busy interval computed analytically (burst path).
-
-        Equivalent to an :meth:`enter`/:meth:`exit` pair spanning
-        ``busy_ps`` of simulated time: the event-driven pair integrates
-        ``1.0 * busy_ps`` into the signal, and crediting adds the same
-        float in the same order, so :meth:`utilization` stays
-        bit-identical between the two paths.
-        """
-        self._signal.credit(busy_ps)
 
     @property
     def busy(self) -> bool:

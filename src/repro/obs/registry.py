@@ -1,8 +1,8 @@
 """MetricsRegistry: named, queryable series with snapshot/diff support.
 
-The simulator already measures plenty — ``TimeWeighted`` integrals,
-``BusyTracker`` utilization, per-link ``LinkStats``, per-disk ``DiskStats``
-— but each lives on its own component object with its own spelling.  The
+The simulator already measures plenty — ``TimeWeighted`` integrals, per-link
+``BusyTracker`` utilization and ``LinkStats``, per-disk ``DiskStats`` — but
+each lives on its own component object with its own spelling.  The
 registry gives them one namespace: every metric is a *probe*, a zero-arg
 callable returning the current value, registered under a dotted name
 (``"link.host0->sw0.bytes"``, ``"cpu.sw0.cpu1.busy_ps"``).

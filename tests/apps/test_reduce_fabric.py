@@ -97,3 +97,27 @@ def test_fault_free_results_carry_no_fault_keys():
                       cases=("active",)).cases["active"].extra
     assert not {key for key in extra
                 if key.startswith(("link_", "handler_", "injected_"))}
+
+
+def test_fabric_is_audited_on_the_first_run_only(monkeypatch):
+    """The audit reads only the spec, so one app audits once however
+    many cases it runs, and a failed audit still fails the first run."""
+    from repro.cluster.fabric import TopologyError, TreeFabric
+
+    audits = []
+    monkeypatch.setattr(TreeFabric, "validate",
+                        lambda fabric: audits.append(fabric))
+    app = FabricReduceApp(topology="tree", hosts=16)
+    for active in (False, True):
+        app.run_case(app.cluster_config().with_case(active=active,
+                                                    prefetch=False))
+    assert len(audits) == 1
+
+    def reject(fabric):
+        raise TopologyError("miswired")
+
+    monkeypatch.setattr(TreeFabric, "validate", reject)
+    fresh = FabricReduceApp(topology="tree", hosts=16)
+    with pytest.raises(TopologyError, match="miswired"):
+        fresh.run_case(fresh.cluster_config().with_case(active=True,
+                                                        prefetch=False))

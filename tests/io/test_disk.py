@@ -99,3 +99,22 @@ def test_config_validation():
     env = Environment()
     with pytest.raises(ValueError):
         DiskArray(env, num_disks=0)
+
+
+@pytest.mark.parametrize("num_disks, nbytes",
+                         [(2, 1000), (2, 1001), (16, 1000), (16, 5)])
+def test_sequential_stripe_never_repositions(num_disks, nbytes):
+    """Back-to-back sequential requests on a pre-positioned array stay
+    sequential on every spindle, even when the request size is not a
+    multiple of the spindle count (or is below it)."""
+    array = DiskArray(Environment(), num_disks=num_disks)
+    array.position_heads(0)
+    at = 0
+    for index in range(4):
+        started, done = array.read_burst(at, index * nbytes, nbytes)
+        assert started == at
+        at = done
+    assert all(d.stats.positioning_ps == 0 for d in array.disks)
+    assert all(d.stats.sequential_requests == d.stats.requests
+               for d in array.disks)
+    assert array.bytes_read == 4 * nbytes
