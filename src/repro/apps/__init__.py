@@ -3,7 +3,7 @@
 from .base import BlockWork, StreamApp, SystemApp, finalize_case
 from .grep import GrepApp, LiteralMatcher
 from .hashjoin import HashJoinApp
-from .md5 import Md5App, md5_digest, md5_interleaved
+from .md5 import Md5App, md5_interleaved
 from .mpeg_filter import MpegFilterApp
 from .reduction import (
     DISTRIBUTED,
@@ -25,7 +25,6 @@ __all__ = [
     "LiteralMatcher",
     "HashJoinApp",
     "Md5App",
-    "md5_digest",
     "md5_interleaved",
     "MpegFilterApp",
     "DISTRIBUTED",

@@ -13,7 +13,11 @@ State: every set's ways live in one flat ``array('q')``, set ``s`` at
 ``[s * assoc, (s + 1) * assoc)``, LRU first and MRU last, each entry
 ``tag << 1 | dirty`` and :data:`EMPTY` for a way never filled (empty
 ways sit at the LRU end).  Without numpy the same layout is a list,
-which the walk indexes faster.  Two deciders share that state:
+which the walk indexes faster.  The storage is allocated on first use,
+by the first access after construction or :meth:`Cache.flush`; until
+then the cache reads as empty, so a cache that a run never touches
+(most hosts of a large fabric) costs no memory.  Two deciders share
+that state:
 
 * the walk indexes it directly, one access at a time, for any
   associativity: :meth:`Cache._access` for one access and
@@ -130,7 +134,13 @@ class Cache:
         self._tag_shift = self._set_mask.bit_length()
         self._assoc = config.assoc
         # Every set's ways, LRU first; each entry is tag << 1 | dirty.
-        self._ways = _empty_ways(num_sets * config.assoc)
+        # None until first used (see _allocate).
+        self._ways = None
+
+    def _allocate(self):
+        """Give the cache empty way storage; returns it."""
+        self._ways = _empty_ways((self._set_mask + 1) * self._assoc)
+        return self._ways
 
     def _locate(self, addr: int):
         line = addr >> self._line_shift
@@ -146,6 +156,8 @@ class Cache:
         lru = (line & self._set_mask) * self._assoc
         mru = lru + self._assoc - 1
         ways = self._ways
+        if ways is None:
+            ways = self._allocate()
         stats = self.stats
         stats.accesses += 1
         way = mru
@@ -197,6 +209,8 @@ class Cache:
                         writebacks += 1
             return missed, writebacks
         ways = self._ways
+        if ways is None:
+            ways = self._allocate()
         line_shift = self._line_shift
         tag_shift = self._tag_shift
         set_mask = self._set_mask
@@ -264,7 +278,10 @@ class Cache:
         touched = np.zeros(self._set_mask + 1, dtype=bool)
         touched[sets] = True
         touched = touched.nonzero()[0]
-        ways = np.frombuffer(self._ways, dtype=np.int64).reshape(-1, assoc)
+        ways = self._ways
+        if ways is None:
+            ways = self._allocate()
+        ways = np.frombuffer(ways, dtype=np.int64).reshape(-1, assoc)
         prefix = len(touched) * assoc
         order = np.concatenate((touched.repeat(assoc), sets)).argsort(
             kind="stable")
@@ -317,7 +334,8 @@ class Cache:
     def access(self, addr: int, write: bool = False) -> AccessResult:
         """Access ``addr``; returns hit/miss and any writeback triggered."""
         set_index, tag = self._locate(addr)
-        victim = self._ways[set_index * self._assoc]
+        ways = self._ways
+        victim = EMPTY if ways is None else ways[set_index * self._assoc]
         code = self._access(addr, write=write)
         if code & HIT:
             return AccessResult(hit=True)
@@ -326,15 +344,19 @@ class Cache:
 
     def contains(self, addr: int) -> bool:
         """True if the line holding ``addr`` is resident (no state change)."""
+        ways = self._ways
+        if ways is None:
+            return False
         set_index, tag = self._locate(addr)
         lru = set_index * self._assoc
-        return any(entry >> 1 == tag
-                   for entry in self._ways[lru:lru + self._assoc])
+        return any(entry >> 1 == tag for entry in ways[lru:lru + self._assoc])
 
     def sets(self) -> List[List[Tuple[int, bool]]]:
         """Each set's resident lines as ``(tag, dirty)``, LRU first."""
         assoc = self._assoc
         ways = self._ways
+        if ways is None:
+            return [[] for _ in range(self._set_mask + 1)]
         return [[(entry >> 1, bool(entry & 1))
                  for entry in ways[lru:lru + assoc] if entry != EMPTY]
                 for lru in range(0, len(ways), assoc)]
@@ -367,8 +389,9 @@ class Cache:
         by flush.
         """
         ways = self._ways
-        dirty_count = sum(1 for entry in ways if entry != EMPTY and entry & 1)
-        self._ways = _empty_ways(len(ways))
+        dirty_count = 0 if ways is None else sum(
+            1 for entry in ways if entry != EMPTY and entry & 1)
+        self._ways = None  # empty again: allocated on the next use
         self.stats.writebacks += dirty_count
         return dirty_count
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.grep import LiteralMatcher
-from repro.apps.md5 import md5_digest, md5_interleaved
+from repro.apps.md5 import md5_interleaved
 from repro.apps.tar import build_archive, parse_archive, ustar_header
 from repro.workloads import files
 
@@ -66,26 +66,6 @@ def test_property_matcher_equals_count_even_when_split(haystack, needle,
 # ----------------------------------------------------------------------
 # MD5
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("data", [
-    b"",
-    b"a",
-    b"abc",
-    b"message digest",
-    b"a" * 55,   # padding boundary
-    b"a" * 56,
-    b"a" * 64,
-    b"a" * 1000,
-])
-def test_md5_matches_hashlib(data):
-    assert md5_digest(data) == hashlib.md5(data).digest()
-
-
-@given(data=st.binary(max_size=500))
-@settings(max_examples=60, deadline=None)
-def test_property_md5_matches_hashlib(data):
-    assert md5_digest(data) == hashlib.md5(data).digest()
-
-
 def test_md5_interleaved_single_chain_is_digest_of_digest():
     data = bytes(range(256)) * 10
     expected = hashlib.md5(hashlib.md5(data).digest()).digest()
@@ -105,6 +85,14 @@ def test_md5_interleaved_chains_partition_blocks():
 def test_md5_interleaved_validates_chains():
     with pytest.raises(ValueError):
         md5_interleaved(b"x", chains=0)
+
+
+@pytest.mark.parametrize("block_bytes", [0, -5])
+def test_md5_interleaved_validates_block_bytes(block_bytes):
+    """Below one byte, blocks would not cover the data: every chain
+    would hash nothing.  Both sizes are rejected by name."""
+    with pytest.raises(ValueError, match="block_bytes"):
+        md5_interleaved(b"abc", chains=2, block_bytes=block_bytes)
 
 
 # ----------------------------------------------------------------------

@@ -121,3 +121,38 @@ def test_fabric_is_audited_on_the_first_run_only(monkeypatch):
     with pytest.raises(TopologyError, match="miswired"):
         fresh.run_case(fresh.cluster_config().with_case(active=True,
                                                         prefetch=False))
+
+
+@pytest.mark.parametrize("active", [False, True])
+def test_only_caches_a_reduce_touches_hold_storage(monkeypatch, active):
+    """Cache storage is allocated on first use.  The in-network reduce
+    touches no CPU's memory; the binomial (MST) reduce loads into the
+    data caches of its 32 receiving hosts, the even ones, and fetches
+    no instruction."""
+    from repro.apps import reduction
+
+    fabrics = []
+    build = reduction.build_fabric
+
+    def recording_build(*args, **kwargs):
+        fabrics.append(build(*args, **kwargs))
+        return fabrics[-1]
+
+    monkeypatch.setattr(reduction, "build_fabric", recording_build)
+    app = FabricReduceApp(topology="tree", hosts=64)
+    app.run_case(app.cluster_config().with_case(active=active,
+                                                prefetch=False))
+    (fabric,) = fabrics
+
+    def allocated(hierarchy):
+        return {level for level in ("l1d", "l1i", "l2")
+                if getattr(getattr(hierarchy, level), "_ways", None)
+                is not None}
+
+    assert not any(allocated(cpu.hierarchy) for node in fabric.switches
+                   for cpu in node.switch.cpus)
+    hosts = [allocated(host.hierarchy) for host in fabric.hosts]
+    if active:
+        assert hosts == [set()] * 64
+    else:
+        assert hosts == [{"l1d", "l2"}, set()] * 32

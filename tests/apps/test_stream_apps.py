@@ -6,6 +6,8 @@ traffic fractions, and conservation invariants.  Exact magnitudes are
 covered by the benchmark harness against the paper's numbers.
 """
 
+import hashlib
+
 import pytest
 
 import repro
@@ -258,6 +260,19 @@ def test_md5_chained_digest_deterministic():
     b = Md5App(scale=MD5_SCALE, num_switch_cpus=4)
     assert a.chained_digest == b.chained_digest
     assert a.digest == b.digest
+
+
+@pytest.mark.parametrize("chains", [1, 2, 4])
+def test_md5_app_digests_are_hashlib_digests_of_its_data(chains):
+    """The app's output: the file's MD5, and the MD5 of its K chain
+    digests, chain k holding every K-th 8 KiB block from block k."""
+    app = Md5App(scale=MD5_SCALE, num_switch_cpus=chains)
+    data = app.data
+    blocks = [data[i:i + 8 * 1024] for i in range(0, len(data), 8 * 1024)]
+    chain_digests = b"".join(hashlib.md5(b"".join(blocks[k::chains])).digest()
+                             for k in range(chains))
+    assert app.digest == hashlib.md5(data).digest()
+    assert app.chained_digest == hashlib.md5(chain_digests).digest()
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem import Cache, CacheConfig
+from repro.mem import Cache, CacheConfig, CacheStats
 
 
 def make_cache(size=1024, line=32, assoc=2, name="test"):
@@ -135,6 +135,24 @@ def test_flush_then_eviction_writebacks_accumulate():
     cache.access(0x20)
     cache.access(0x40)  # evicts dirty 0x0
     assert cache.stats.writebacks == 2
+
+
+def test_never_accessed_cache_holds_no_storage():
+    """Storage is allocated on first access.  Until then the cache
+    reads as an empty one, and a flush finds nothing and allocates
+    nothing; flushing a used cache drops its storage again."""
+    cache, empty = make_cache(), make_cache()
+    empty._allocate()
+    assert cache._ways is None
+    assert cache.sets() == empty.sets() == [[]] * 16
+    assert not cache.contains(0x40) and not empty.contains(0x40)
+    assert cache.flush() == 0
+    assert cache._ways is None
+    assert vars(cache.stats) == vars(CacheStats())
+    assert cache.access(0x40, write=True) == empty.access(0x40, write=True)
+    assert cache.sets() == empty.sets()
+    assert cache.flush() == empty.flush() == 1
+    assert cache._ways is None
 
 
 def test_single_set_geometry():

@@ -11,6 +11,11 @@ caches are walk-only), small TLB pages, store-overlap factors whose
 per-line rounding is exact and inexact, and RDRAM pages smaller than
 an L2 line, so one L2 line spans banks.
 
+The hierarchy under test starts in one of two states: as built, its
+caches never touched and holding no storage, or with their storage
+allocated but empty, as the per-line twin's always is.  Either way the
+first access to each cache may come through any access point.
+
 Each program runs once per decider, forced: the walk as without
 numpy, and the numpy decider for every sequence it is exact for,
 whatever its length.  Sequence lengths fall on both sides of
@@ -117,6 +122,9 @@ ops = st.one_of(
     st.tuples(st.just("access_many"), st.integers(0, 1 << 32), counts),
 )
 
+#: Start states of the hierarchy under test.
+starts = st.sampled_from(["never-touched", "allocated"])
+
 #: Each decider, forced: (module attribute, value).
 DECIDERS = {
     "walk": ("_np", None),
@@ -124,13 +132,21 @@ DECIDERS = {
 }
 
 
-def run_program(geometry, program):
+def caches(hier):
+    return [cache for cache in (hier.l1d, hier.l1i, hier.l2)
+            if cache is not None]
+
+
+def run_program(geometry, program, start):
     """Run ``program`` on a hierarchy and its per-line twin.
 
     Returns the hierarchy under test.
     """
     fast = build(geometry)
     ref = per_line(build(geometry))
+    assert all(cache._ways is None for cache in caches(fast))
+    for cache in caches(ref) + (caches(fast) if start == "allocated" else []):
+        cache._allocate()
     for name, *args in program:
         if name == "access_many":
             args = mixed_accesses(*args)
@@ -139,11 +155,12 @@ def run_program(geometry, program):
     return fast
 
 
-@given(geometry=geometries(), program=st.lists(ops, min_size=1, max_size=30))
+@given(geometry=geometries(), program=st.lists(ops, min_size=1, max_size=30),
+       start=starts)
 @settings(max_examples=300, deadline=None)
-def test_scans_match_per_line_oracle(geometry, program):
+def test_scans_match_per_line_oracle(geometry, program, start):
     """Each sequence on the decider the hierarchy picks for it."""
-    run_program(geometry, program)
+    run_program(geometry, program, start)
 
 
 @pytest.mark.parametrize("decider", [
@@ -151,14 +168,16 @@ def test_scans_match_per_line_oracle(geometry, program):
     pytest.param("numpy", marks=pytest.mark.skipif(
         hierarchy._np is None, reason="the numpy decider needs numpy")),
 ])
-@given(geometry=geometries(), program=st.lists(ops, min_size=1, max_size=30))
+@given(geometry=geometries(), program=st.lists(ops, min_size=1, max_size=30),
+       start=starts)
 @settings(max_examples=150, deadline=None)
-def test_each_decider_matches_per_line_oracle(decider, geometry, program):
+def test_each_decider_matches_per_line_oracle(decider, geometry, program,
+                                              start):
     other = "walk" if decider == "numpy" else "numpy"
     before = hierarchy.DECIDED[other + ".sequences"]
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(hierarchy, *DECIDERS[decider])
-        fast = run_program(geometry, program)
+        fast = run_program(geometry, program, start)
     if decider == "walk" or fast._decidable:
         # Forced means forced: the other decider took nothing.
         assert hierarchy.DECIDED[other + ".sequences"] == before
