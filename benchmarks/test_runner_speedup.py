@@ -7,8 +7,9 @@ Four measurements:
   >= 2.5x faster wall-clock;
 * a second, cache-warmed invocation finishes in < 10% of the uncached
   serial time;
-* the DES kernel's event-storm throughput (heap slot reuse + inlined
-  run loop), best of three timed drains;
+* the DES kernel's event-storm throughput (tuple heap entries pushed
+  straight from ``Timeout`` + one inlined run loop), best of three
+  timed drains;
 * the tracing gate is free when disabled: two interleaved untraced
   event storms agree to within scheduler noise, and a traced storm
   that records one span per event stays within 2x

@@ -90,10 +90,23 @@ def _oracle(vectors: List[List[int]]) -> List[int]:
 
 def _make_vectors(num_hosts: int, seed: int = 3,
                   vector_bytes: int = VECTOR_BYTES) -> List[List[int]]:
-    rng = random.Random(seed)
+    """Each host's words, as ``random.Random(seed).randrange(1 << 16)``
+    draws them: that call takes ``getrandbits(17)`` and draws again
+    while the result is at least ``1 << 16``.  The loop is inlined
+    because a 1024-host set is hundreds of thousands of words."""
+    draw = random.Random(seed).getrandbits
     words = vector_bytes // 4
-    return [[rng.randrange(1 << 16) for _ in range(words)]
-            for _ in range(num_hosts)]
+    vectors = []
+    for _ in range(num_hosts):
+        vector = []
+        append = vector.append
+        for _ in range(words):
+            word = draw(17)
+            while word >= 1 << 16:
+                word = draw(17)
+            append(word)
+        vectors.append(vector)
+    return vectors
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from typing import Callable, List, Optional
 
 from ..metrics.sampling import BusyTracker
 from ..sim.core import Environment
+from ..sim.events import Event
 from ..sim.resources import Container, Resource, Store
 from ..sim.units import ns, transfer_ps
 from .packet import Packet
@@ -227,8 +228,7 @@ class Link:
                 # for its retransmission.
                 if packet.notify is not None and not packet.notify.triggered:
                     packet.notify.succeed()
-                self.env.process(self._deliver(packet),
-                                 name=f"{self.name}-deliver")
+                self._deliver(packet)
                 return
             # A dead wire needs a retry policy even without a fault plan.
             policy = faults if faults is not None else _fallback_policy()
@@ -272,10 +272,8 @@ class Link:
                 self._credits_outstanding += 1
             else:  # corrupt: the copy arrives, fails CRC, and is NACKed.
                 nack = self.env.event()
-                mangled = replace(packet, corrupted=True, nack=nack,
-                                  notify=None)
-                self.env.process(self._deliver(mangled),
-                                 name=f"{self.name}-deliver-corrupt")
+                self._deliver(replace(packet, corrupted=True, nack=nack,
+                                      notify=None))
                 yield nack
                 # NACK turnaround: control packet propagating back.
                 yield self.env.timeout(self.config.propagation_ps)
@@ -283,9 +281,27 @@ class Link:
                 self._credits_outstanding += 1
             attempt += 1
 
-    def _deliver(self, packet: Packet):
-        yield self.env.timeout(self.config.propagation_ps)
-        yield self.delivered.put(packet)
+    def _deliver(self, packet: Packet) -> None:
+        """Put ``packet`` into :attr:`delivered` after the propagation
+        delay.
+
+        Every packet hop calls this, so it runs on callbacks, not a
+        process.  The propagation timeout is scheduled by a zero-delay
+        start event, not right away: a process's first step would take
+        that place in the event order, and events that tie with the
+        arrival resolve by it.
+        """
+        env = self.env
+        propagation_ps = self.config.propagation_ps
+        put = self.delivered.put
+
+        def propagate(_start):
+            env.timeout(propagation_ps).callbacks.append(
+                lambda _arrived: put(packet))
+
+        start = Event(env)
+        start.callbacks.append(propagate)
+        start.succeed()
 
     def receive(self):
         """Take the next intact packet and return its credit.

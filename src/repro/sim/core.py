@@ -30,17 +30,13 @@ from .diagnostics import (
     format_failure_context,
     format_wait_graph,
 )
-from .events import AllOf, AnyOf, Event, Process, SimulationError, Timeout
+from .events import (NORMAL, AllOf, AnyOf, Event, Process, SimulationError,
+                     Timeout)
 
 __all__ = ["Environment", "Infinity"]
 
 #: Sentinel meaning "run until the queue drains".
 Infinity = float("inf")
-
-#: Scheduling priorities: URGENT events at the same timestamp run before
-#: NORMAL ones.  Used by the kernel for resource bookkeeping.
-URGENT = 0
-NORMAL = 1
 
 
 class Environment:
@@ -48,13 +44,11 @@ class Environment:
 
     def __init__(self, initial_time: int = 0):
         self._now = int(initial_time)
+        #: The event heap: ``(time, priority, eid, event)`` tuples.  The
+        #: eid counts up in scheduling order, so events are processed in
+        #: ``(time, priority, eid)`` order and never compared themselves.
         self._queue: list = []
         self._eid = count()
-        #: Recycled heap entries ([time, priority, eid, event] lists):
-        #: the hot loop returns each popped slot here and schedule()
-        #: refills it in place, so steady-state runs allocate no queue
-        #: entries at all.
-        self._free_slots: list = []
         self._active_process: Optional[Process] = None
         #: Processes whose generator has not finished (kept for deadlock
         #: diagnostics; Process registers/deregisters itself).
@@ -91,16 +85,8 @@ class Environment:
         """Queue ``event`` to be processed ``delay`` ps from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
-        free = self._free_slots
-        if free:
-            entry = free.pop()
-            entry[0] = self._now + int(delay)
-            entry[1] = priority
-            entry[2] = next(self._eid)
-            entry[3] = event
-        else:
-            entry = [self._now + int(delay), priority, next(self._eid), event]
-        heappush(self._queue, entry)
+        heappush(self._queue,
+                 (self._now + int(delay), priority, next(self._eid), event))
 
     def peek(self) -> float:
         """Timestamp of the next scheduled event, or ``Infinity``."""
@@ -109,14 +95,9 @@ class Environment:
     def step(self) -> None:
         """Process the next scheduled event."""
         try:
-            entry = heappop(self._queue)
+            self._now, _, _, event = heappop(self._queue)
         except IndexError:
             raise SimulationError("no scheduled events") from None
-        self._now = entry[0]
-        event = entry[3]
-        entry[3] = None  # recycle the heap slot for schedule()
-        if len(self._free_slots) < 4096:
-            self._free_slots.append(entry)
         self._event_count += 1
         event._process()
 
@@ -151,14 +132,14 @@ class Environment:
         time) or when an event sentinel's callback fires; what follows
         the loop is particular to each form.
         """
-        # The loop inlines step() — pop, advance the clock,
-        # recycle the heap slot, dispatch — binding the queue and
-        # heappop as locals.  On a full benchmark run this loop executes
-        # millions of times; dropping the method call and tuple unpack
-        # per event is a measurable share of wall-clock (see
-        # benchmarks/test_runner_speedup.py).  Semantics are identical
-        # to calling step() in a loop, including the per-event watchdog
-        # poll (the watchdog may be armed mid-run by a resumed process).
+        # The loop inlines step() — pop, advance the clock, run the
+        # event's callbacks — binding the queue and heappop as locals.
+        # On a full benchmark run this loop executes millions of times;
+        # dropping the method calls per event is a measurable share of
+        # wall-clock (see benchmarks/test_runner_speedup.py).  Semantics
+        # are identical to calling step() in a loop, including the
+        # per-event watchdog poll (the watchdog may be armed mid-run by
+        # a resumed process).
         finished = []
         horizon = Infinity
         if isinstance(until, Event):
@@ -169,17 +150,13 @@ class Environment:
                 raise SimulationError(
                     f"cannot run until {horizon}: already at {self._now}")
         queue = self._queue
-        free = self._free_slots
         pop = heappop
         while queue and not finished and queue[0][0] <= horizon:
-            entry = pop(queue)
-            self._now = entry[0]
-            event = entry[3]
-            entry[3] = None
-            if len(free) < 4096:
-                free.append(entry)
+            self._now, _, _, event = pop(queue)
             self._event_count += 1
-            event._process()
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
             if self._watchdog_armed:
                 self._watchdog_check()
 

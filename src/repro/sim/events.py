@@ -8,6 +8,7 @@ events (:class:`AllOf` / :class:`AnyOf`) compose them.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -53,6 +54,11 @@ class Interrupt(Exception):
 
 _PENDING = object()
 
+#: Scheduling priorities: URGENT events at the same timestamp run before
+#: NORMAL ones.  Interrupts are URGENT; every other event is NORMAL.
+URGENT = 0
+NORMAL = 1
+
 
 class Event:
     """A one-shot occurrence in simulated time.
@@ -97,11 +103,15 @@ class Event:
 
     def succeed(self, value: Any = None, delay: int = 0) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self, delay)
+        env = self.env
+        if delay:
+            env.schedule(self, delay)
+        else:
+            heappush(env._queue, (env._now, NORMAL, next(env._eid), self))
         return self
 
     def fail(self, exception: BaseException, delay: int = 0) -> "Event":
@@ -148,11 +158,13 @@ class Timeout(Event):
     def __init__(self, env, delay: int, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay)
+        self._ok = True
+        self.delay = delay
+        heappush(env._queue,
+                 (env._now + int(delay), NORMAL, next(env._eid), self))
 
 
 class Initialize(Event):
@@ -161,11 +173,11 @@ class Initialize(Event):
     __slots__ = ()
 
     def __init__(self, env, process: "Process"):
-        super().__init__(env)
-        self.callbacks.append(process._resume)
-        self._ok = True
+        self.env = env
+        self.callbacks = [process._resume]
         self._value = None
-        env.schedule(self, 0)
+        self._ok = True
+        heappush(env._queue, (env._now, NORMAL, next(env._eid), self))
 
 
 class Process(Event):
@@ -182,7 +194,10 @@ class Process(Event):
                  daemon: bool = False):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(f"process requires a generator, got {generator!r}")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
@@ -190,9 +205,7 @@ class Process(Event):
         #: switch forwarding, dispatch workers) are expected to outlive
         #: the workload, so the deadlock detector ignores them.
         self.daemon = daemon
-        alive = getattr(env, "_alive_processes", None)
-        if alive is not None:
-            alive.add(self)
+        env._alive_processes.add(self)
         Initialize(env, self)
 
     @property
@@ -235,44 +248,33 @@ class Process(Event):
         trigger._ok = False
         trigger._value = Interrupt(cause)
         trigger.callbacks.append(self._resume)
-        self.env.schedule(trigger, 0, priority=0)  # urgent
+        self.env.schedule(trigger, 0, priority=URGENT)
 
-    def _deregister(self) -> None:
-        """Drop this process from the environment's alive registry."""
-        alive = getattr(self.env, "_alive_processes", None)
-        if alive is not None:
-            alive.discard(self)
+    def _finish(self, ok: bool, value: Any) -> None:
+        """The generator ended: schedule this process's own event."""
+        env = self.env
+        env._active_process = None
+        self._ok = ok
+        self._value = value
+        env._alive_processes.discard(self)
+        heappush(env._queue, (env._now, NORMAL, next(env._eid), self))
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the result of ``event``."""
         env = self.env
         env._active_process = self
+        generator = self._generator
         while True:
             try:
                 if event._ok:
-                    next_event = self._generator.send(event._value)
+                    next_event = generator.send(event._value)
                 else:
-                    next_event = self._generator.throw(event._value)
-            except StopIteration as exc:
-                env._active_process = None
-                self._ok = True
-                self._value = exc.value
-                self._deregister()
-                env.schedule(self, 0)
-                return
-            except StopProcess as exc:
-                env._active_process = None
-                self._ok = True
-                self._value = exc.value
-                self._deregister()
-                env.schedule(self, 0)
+                    next_event = generator.throw(event._value)
+            except (StopIteration, StopProcess) as exc:
+                self._finish(True, exc.value)
                 return
             except BaseException as exc:
-                env._active_process = None
-                self._ok = False
-                self._value = exc
-                self._deregister()
-                env.schedule(self, 0)
+                self._finish(False, exc)
                 if not self.callbacks:
                     # Nothing is waiting on this process: surface the error.
                     raise
@@ -283,19 +285,20 @@ class Process(Event):
                 error = SimulationError(
                     f"process {self.name!r} yielded non-event {next_event!r}")
                 try:
-                    self._generator.throw(error)
+                    generator.throw(error)
                 except BaseException:
                     pass
-                self._deregister()
+                env._alive_processes.discard(self)
                 raise error
 
-            if next_event.processed:
-                # Already done: loop immediately with its value.
+            callbacks = next_event.callbacks
+            if callbacks is None:
+                # Already processed: loop immediately with its value.
                 event = next_event
                 continue
 
             self._target = next_event
-            next_event.add_callback(self._resume)
+            callbacks.append(self._resume)
             break
         env._active_process = None
 

@@ -30,7 +30,7 @@ from collections import deque
 from typing import Any, Deque, Optional
 
 from .core import Environment, Infinity
-from .events import Event, SimulationError
+from .events import _PENDING, Event, SimulationError
 
 __all__ = [
     "Store",
@@ -59,8 +59,11 @@ class _BlockingEvent(Event):
     __slots__ = ("owner", "_withdrawn")
 
     def __init__(self, env: Environment):
-        super().__init__(env)
-        self.owner = env.active_process
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self.owner = env._active_process
         self._withdrawn = False
 
     def withdraw(self) -> None:
@@ -193,6 +196,15 @@ class Store:
     def put(self, item: Any) -> StorePut:
         """Return an event that fires once ``item`` is stored."""
         event = StorePut(self, item)
+        items = self.items
+        if not self._putters and len(items) < self.capacity:
+            # Uncontended: what _dispatch does for a lone putter.
+            items.append(item)
+            event.succeed()
+            getters = self._getters
+            while getters and items:
+                getters.popleft().succeed(items.popleft())
+            return event
         self._putters.append(event)
         self._dispatch()
         return event
@@ -200,6 +212,10 @@ class Store:
     def get(self) -> StoreGet:
         """Return an event that fires with the next item."""
         event = StoreGet(self)
+        if self.items and not self._getters and not self._putters:
+            # Uncontended: what _dispatch does for a lone getter.
+            event.succeed(self.items.popleft())
+            return event
         self._getters.append(event)
         self._dispatch()
         return event
@@ -280,14 +296,17 @@ class Resource:
         * already released or cancelled — a no-op, making cancel safe
           to call from ``finally`` blocks and ``with`` exits.
         """
-        try:
-            self.queue.remove(request)
+        if request._value is _PENDING:
+            # Never granted: still queued, or already withdrawn.
+            if request in self.queue:
+                self.queue.remove(request)
             return
-        except ValueError:
-            pass
-        if any(request is user for user in self.users):
-            self.users.remove(request)
-            self._grant()
+        users = self.users
+        for index, user in enumerate(users):
+            if user is request:
+                del users[index]
+                self._grant()
+                return
 
     def _grant(self) -> None:
         while self.queue and len(self.users) < self.capacity:

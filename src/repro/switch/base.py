@@ -72,21 +72,24 @@ class BaseSwitch:
             Store(env, capacity=config.output_queue_packets)
             for _ in range(config.num_ports)
         ]
-        for port in range(config.num_ports):
-            env.process(self._transmitter(port), name=f"{name}-tx{port}",
-                        daemon=True)
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
     def connect(self, port: int, tx_link: Link, rx_link: Link) -> None:
-        """Attach a duplex pair of links to ``port``."""
+        """Attach a duplex pair of links to ``port`` and start serving it.
+
+        Only a connected port has a transmitter; routing or injecting a
+        packet to any other port raises :class:`PortNotConnected`.
+        """
         if not 0 <= port < self.config.num_ports:
             raise ValueError(f"{self.name}: port {port} out of range")
         if self._tx_links[port] is not None:
             raise ValueError(f"{self.name}: port {port} already connected")
         self._tx_links[port] = tx_link
         tx_link.add_down_listener(lambda: self._port_down(port, tx_link))
+        self.env.process(self._transmitter(port, tx_link),
+                         name=f"{self.name}-tx{port}", daemon=True)
         self.env.process(self._reader(port, rx_link),
                          name=f"{self.name}-rx{port}", daemon=True)
 
@@ -131,8 +134,15 @@ class BaseSwitch:
                 trace.instant(self.name, "packet.no_route", self.env.now,
                               dst=packet.dst, msg=packet.message_id)
             return
+        self._check_connected(out_port)
         self.stats.forwarded += 1
         yield self._output_queues[out_port].put(packet)
+
+    def _check_connected(self, port: int) -> None:
+        # Only a connected port has a transmitter to drain its queue.
+        if self._tx_links[port] is None:
+            raise PortNotConnected(
+                f"{self.name}: routed packet to unconnected port {port}")
 
     def _port_down(self, port: int, link: Link) -> None:
         """The tx link on ``port`` was declared dead: fail over.
@@ -155,14 +165,10 @@ class BaseSwitch:
         """Readmit a repaired port (management plane, after revival)."""
         self.routing.restore(port)
 
-    def _transmitter(self, port: int):
+    def _transmitter(self, port: int, link: Link):
         queue = self._output_queues[port]
         while True:
             packet = yield queue.get()
-            link = self._tx_links[port]
-            if link is None:
-                raise PortNotConnected(
-                    f"{self.name}: routed packet to unconnected port {port}")
             try:
                 yield from link.send(packet)
             except LinkTransmissionError:
@@ -181,6 +187,7 @@ class BaseSwitch:
         port = (self.routing.lookup(packet.dst,
                                     flow_key=(packet.src, packet.dst))
                 if out_port is None else out_port)
+        self._check_connected(port)
         yield self._output_queues[port].put(packet)
 
     def deliver_local(self, packet: Packet, in_port: int):

@@ -1,5 +1,7 @@
 """Tests for collective reductions (Table 2, Figures 15/16)."""
 
+import random
+
 import pytest
 
 import repro
@@ -29,6 +31,19 @@ def _case(num_hosts, mode, active, **params):
     label = "active" if active else "normal"
     return repro.run("reduce", hosts=num_hosts, mode=mode, cases=(label,),
                      **params).cases[label]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+@pytest.mark.parametrize("num_hosts,vector_bytes", [
+    (2, 128), (2, 8192), (5, 4096), (64, 2048), (1024, 128), (1024, 512)])
+def test_vectors_are_randrange_draws(num_hosts, vector_bytes, seed):
+    """The inlined draw loop gives exactly ``randrange(1 << 16)``'s
+    words, so a change in the standard library shows here."""
+    rng = random.Random(seed)
+    expected = [[rng.randrange(1 << 16) for _ in range(vector_bytes // 4)]
+                for _ in range(num_hosts)]
+    assert _make_vectors(num_hosts, seed=seed,
+                         vector_bytes=vector_bytes) == expected
 
 
 def test_vector_size_is_paper_parameter():

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.net import ChannelAdapter, Link, Packet
+from repro.net import ChannelAdapter, Link, Message, Packet
 from repro.sim import Environment
 from repro.sim.units import ns
 from repro.switch import BaseSwitch, RoutingToSwitchError, SwitchConfig
+from repro.switch.base import PortNotConnected
 from repro.net.packet import ActiveHeader
 
 
@@ -146,3 +147,37 @@ def test_connected_ports_listing():
     switch = BaseSwitch(env, "sw0")
     switch.connect(2, Link(env, "a"), Link(env, "b"))
     assert switch.connected_ports() == [2]
+
+
+def test_only_connected_ports_run_transmitters():
+    """A port's transmitter starts when the port is connected."""
+    env = Environment()
+    switch = BaseSwitch(env, "sw0", SwitchConfig(num_ports=16))
+    for port in (1, 7, 12):
+        switch.connect(port, Link(env, f"sw0->p{port}"),
+                       Link(env, f"p{port}->sw0"))
+    env.run(until=0)
+    transmitters = sorted(p.name for p in env._alive_processes
+                          if p.name.startswith("sw0-tx"))
+    assert transmitters == ["sw0-tx1", "sw0-tx12", "sw0-tx7"]
+
+
+@pytest.mark.parametrize("via", ["route", "inject", "inject_to_port"])
+def test_unconnected_port_raises(via):
+    """Nothing would drain an unconnected port's queue, so a packet
+    routed or injected there raises instead of waiting forever."""
+    env = Environment()
+    switch, (a, _) = build_fabric(env)
+    switch.routing.add("ep5", 5)
+
+    def sender(env):
+        if via == "route":
+            yield from a.transmit(Message("ep0", "ep5", 64))
+        else:
+            packet = Packet("sw0", "ep5", payload_bytes=64)
+            yield from switch.inject(
+                packet, out_port=5 if via == "inject_to_port" else None)
+
+    env.process(sender(env))
+    with pytest.raises(PortNotConnected, match="unconnected port 5"):
+        env.run()
