@@ -166,11 +166,11 @@ class System:
             self._register_hierarchy(f"mem.{node.name}", node.hierarchy)
         for node in self.storage_nodes:
             for disk in node.disks.disks:
-                m.register_stats(
-                    f"disk.{disk.name}", disk.stats,
-                    ["requests", "sequential_requests", "bytes_read",
-                     "bytes_written", "positioning_ps", "transfer_ps_total",
-                     "transient_errors", "retries"])
+                # Through the spindle: its array settles lockstep counters
+                # into ``disk.stats`` only when it is read.
+                for field in self._DISK_FIELDS:
+                    m.register(f"disk.{disk.name}.{field}",
+                               lambda d=disk, f=field: getattr(d.stats, f))
                 m.register(f"disk.{disk.name}.utilization",
                            disk.utilization)
         if isinstance(self.switch, ActiveSwitch):
@@ -192,6 +192,11 @@ class System:
                        lambda: switch.buffers.in_use)
             for cpu in switch.cpus:
                 self._register_hierarchy(f"mem.{cpu.name}", cpu.hierarchy)
+
+    #: DiskStats fields exposed per spindle.
+    _DISK_FIELDS = ["requests", "sequential_requests", "bytes_read",
+                    "bytes_written", "positioning_ps", "transfer_ps_total",
+                    "transient_errors", "retries"]
 
     #: CacheStats fields exposed per cache level.
     _CACHE_FIELDS = ["accesses", "hits", "misses", "evictions", "writebacks"]

@@ -77,9 +77,8 @@ class Disk:
         self.env = env
         self.name = name
         self.config = config
-        self.stats = DiskStats()
-        #: Picoseconds the arm has spent on requests (retries included).
-        self.busy_ps = 0
+        self._stats = DiskStats()
+        self._busy_ps = 0
         self._built_ps = env.now
         self._positioning_ps = config.seek_ps + config.half_rotation_ps
         self._head_position = -1  # byte offset after the last transfer
@@ -87,16 +86,41 @@ class Disk:
         self._arm_free_ps = 0
         self._injector = None
         self._faults = None  # the injector's disk plan, when enabled
+        #: The array this spindle belongs to, which may hold its
+        #: counters, arm and head while its spindles move in lockstep.
+        self._array: Optional[DiskArray] = None
         env.add_context_provider(self._failure_context)
 
+    @property
+    def stats(self) -> DiskStats:
+        """This spindle's counters."""
+        if self._array is not None:
+            self._array._settle()
+        return self._stats
+
+    @property
+    def busy_ps(self) -> int:
+        """Picoseconds the arm has spent on requests (retries included)."""
+        if self._array is not None:
+            self._array._settle()
+        return self._busy_ps
+
     def _failure_context(self) -> dict:
+        stats = self.stats
         return {f"disk:{self.name}": (
-            f"{self.stats.requests} reqs, "
-            f"{self.stats.transient_errors} transient errors, "
+            f"{stats.requests} reqs, "
+            f"{stats.transient_errors} transient errors, "
             f"arm busy until {self._arm_free_ps} ps")}
+
+    def _detach(self) -> None:
+        """Take this spindle's array out of lockstep before the spindle
+        is driven on its own."""
+        if self._array is not None:
+            self._array._leave_lockstep()
 
     def attach_faults(self, injector) -> None:
         """Subject this spindle to ``injector``'s fault plan."""
+        self._detach()
         self._injector = injector
         faults = injector.plan.disk
         self._faults = faults if faults.enabled else None
@@ -104,6 +128,7 @@ class Disk:
     def position_head(self, offset: int) -> None:
         """Pre-position the head (models OS read-ahead having already
         seeked, or a file contiguous with prior activity)."""
+        self._detach()
         self._head_position = offset
 
     def utilization(self, until_ps: Optional[int] = None) -> float:
@@ -135,6 +160,7 @@ class Disk:
         """
         if nbytes <= 0:
             raise ValueError(f"request size must be positive, got {nbytes}")
+        self._detach()
         return self._access(
             at_ps, offset, nbytes, offset + nbytes, write,
             transfer_ps(nbytes, self.config.bandwidth_bytes_per_s),
@@ -145,7 +171,7 @@ class Disk:
         """:meth:`access_burst` given ``nbytes``' ``transfer`` time, the
         ``head`` position it ends at, and the environment's ``trace``."""
         start = at_ps if at_ps > self._arm_free_ps else self._arm_free_ps
-        stats = self.stats
+        stats = self._stats
         stats.requests += 1
         t = start
         if offset == self._head_position:
@@ -162,7 +188,7 @@ class Disk:
             t += transfer // 2
             if attempt >= faults.max_retries:
                 self._head_position = -1
-                self.busy_ps += t - start
+                self._busy_ps += t - start
                 self._arm_free_ps = t
                 raise DiskError(
                     f"{self.name}: {'write' if write else 'read'} of "
@@ -180,7 +206,7 @@ class Disk:
             stats.bytes_read += nbytes
         done = t + transfer
         self._head_position = head
-        self.busy_ps += done - start
+        self._busy_ps += done - start
         self._arm_free_ps = done
         if trace is not None:
             trace.span(self.name, "disk.write" if write else "disk.read",
@@ -198,6 +224,19 @@ class DiskArray:
     A logical read of B bytes is split evenly across the disks, which
     transfer in parallel — aggregate bandwidth is the sum of the
     spindles', i.e. the paper's 100 MB/s for two 50 MB/s disks.
+
+    While the spindles move in lockstep — no spindle has a disk fault
+    plan, every arm is free at the same time and every head sits at the
+    same offset — the array keeps that one arm-free time and head for
+    all of them.  A request that splits evenly (``nbytes % n == 0``) is
+    then priced once, and the per-spindle counters it adds wait on the
+    array.  Anything that reads a spindle (its ``stats``, ``busy_ps``,
+    ``utilization()``, failure context) first settles them into every
+    :class:`Disk`; driving a spindle on its own (its ``access_burst``,
+    ``position_head`` or ``attach_faults``) also takes the array out of
+    lockstep.  Out of lockstep, or for an uneven split, each spindle is
+    stepped in turn; the array goes back into lockstep once its spindles
+    agree again.  Both ways record the same trace spans.
     """
 
     def __init__(self, env: Environment, name: str = "disks",
@@ -208,11 +247,60 @@ class DiskArray:
         self.name = name
         self.config = config
         self.disks = [Disk(env, f"{name}-{i}", config) for i in range(num_disks)]
+        for disk in self.disks:
+            disk._array = self
+        self._positioning_ps = config.seek_ps + config.half_rotation_ps
+        # Lockstep state: every spindle's arm and head, and the counters
+        # each spindle has gained since the last settle.
+        self._lockstep = True
+        self._arm_free_ps = 0
+        self._head_position = -1
+        self._pending = DiskStats()
+        self._pending_busy_ps = 0
+
+    def _settle(self) -> None:
+        """Add the pending lockstep counters to every spindle, and give
+        each the array's arm and head."""
+        pending = self._pending
+        if not pending.requests:
+            return
+        busy = self._pending_busy_ps
+        for disk in self.disks:
+            stats = disk._stats
+            stats.requests += pending.requests
+            stats.sequential_requests += pending.sequential_requests
+            stats.bytes_read += pending.bytes_read
+            stats.bytes_written += pending.bytes_written
+            stats.positioning_ps += pending.positioning_ps
+            stats.transfer_ps_total += pending.transfer_ps_total
+            disk._busy_ps += busy
+            disk._arm_free_ps = self._arm_free_ps
+            disk._head_position = self._head_position
+        # Reset in place: a settle runs on reads from any layer, and
+        # building a DiskStats there would count as an io call.
+        pending.requests = pending.sequential_requests = 0
+        pending.bytes_read = pending.bytes_written = 0
+        pending.positioning_ps = pending.transfer_ps_total = 0
+        self._pending_busy_ps = 0
+
+    def _leave_lockstep(self) -> None:
+        self._settle()
+        self._lockstep = False
+
+    def _rejoin(self) -> None:
+        """Go back into lockstep if the spindles agree."""
+        first = self.disks[0]
+        arm, head = first._arm_free_ps, first._head_position
+        if all(d._faults is None and d._arm_free_ps == arm
+               and d._head_position == head for d in self.disks):
+            self._arm_free_ps, self._head_position = arm, head
+            self._lockstep = True
 
     def attach_faults(self, injector) -> None:
         """Subject every spindle to ``injector``'s fault plan."""
         for disk in self.disks:
             disk.attach_faults(injector)
+        self._rejoin()
 
     @property
     def transient_errors(self) -> int:
@@ -229,8 +317,11 @@ class DiskArray:
 
     def position_heads(self, offset: int) -> None:
         """Pre-position every spindle (see Disk.position_head)."""
+        head = self._head_position = offset // len(self.disks)
         for disk in self.disks:
-            disk.position_head(offset // len(self.disks))
+            disk._head_position = head
+        if not self._lockstep:
+            self._rejoin()
 
     @property
     def bytes_read(self) -> int:
@@ -241,10 +332,47 @@ class DiskArray:
         """Split one logical request evenly across the spindles, which
         transfer in parallel: each moves up to ``ceil(nbytes / n)`` bytes
         at ``offset // n`` and leaves its head at ``(offset + nbytes) //
-        n``, where the next sequential request starts."""
+        n``, where the next sequential request starts.  In lockstep an
+        even split is priced once for every spindle."""
         if nbytes <= 0:
             raise ValueError(f"{'write' if write else 'read'} size must be "
                              f"positive, got {nbytes}")
+        n = len(self.disks)
+        if not self._lockstep or nbytes % n:
+            return self._walk(at_ps, offset, nbytes, write)
+        chunk = nbytes // n
+        transfer = transfer_ps(chunk, self.config.bandwidth_bytes_per_s)
+        spindle_offset = offset // n
+        start = at_ps if at_ps > self._arm_free_ps else self._arm_free_ps
+        pending = self._pending
+        pending.requests += 1
+        if spindle_offset == self._head_position:
+            pending.sequential_requests += 1
+            data_start = start
+        else:
+            pending.positioning_ps += self._positioning_ps
+            data_start = start + self._positioning_ps
+        pending.transfer_ps_total += transfer
+        if write:
+            pending.bytes_written += chunk
+        else:
+            pending.bytes_read += chunk
+        done = data_start + transfer
+        self._head_position = (offset + nbytes) // n
+        self._pending_busy_ps += done - start
+        self._arm_free_ps = done
+        trace = self.env.trace
+        if trace is not None:
+            name = "disk.write" if write else "disk.read"
+            for disk in self.disks:
+                trace.span(disk.name, name, start, done - start,
+                           offset=spindle_offset, bytes=chunk, retries=0)
+        return data_start, done
+
+    def _walk(self, at_ps: int, offset: int, nbytes: int, write: bool):
+        """:meth:`_access_burst` one spindle at a time: the path for
+        fault plans, uneven splits and spindles that disagree."""
+        self._leave_lockstep()
         n = len(self.disks)
         chunk = -(-nbytes // n)
         bandwidth = self.config.bandwidth_bytes_per_s
@@ -266,6 +394,7 @@ class DiskArray:
             if done is None or disk_done > done:
                 done = disk_done
             remaining -= chunk
+        self._rejoin()
         return started, done
 
     def read_burst(self, at_ps: int, offset: int, nbytes: int):

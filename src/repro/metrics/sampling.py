@@ -44,8 +44,10 @@ class TimeWeighted:
         self._integral += self._value * (now - self._last_change_ps)
         self._last_change_ps = now
         self._value = value
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
 
     def add(self, delta: float) -> None:
         """Adjust the value by ``delta`` (queue join/leave)."""
@@ -164,29 +166,35 @@ class QuantileEstimator:
     def add(self, value: float) -> None:
         """Record one observation (non-negative)."""
         value = float(value)
-        if value < 0.0 or value != value:  # negative or NaN
+        if not 0.0 <= value < math.inf:  # negative, NaN or infinite
             raise ValueError(f"QuantileEstimator values must be "
                              f"non-negative finite numbers, got {value}")
         self._count += 1
         self._sum += value
-        self._min = value if self._min is None else min(self._min, value)
-        self._max = value if self._max is None else max(self._max, value)
-        if self._samples is not None:
-            self._samples.append(value)
-            if len(self._samples) > self.exact_limit:
+        if self._min is None:
+            self._min = self._max = value
+        elif value < self._min:
+            self._min = value
+        elif value > self._max:
+            self._max = value
+        samples = self._samples
+        if samples is not None:
+            samples.append(value)
+            if len(samples) > self.exact_limit:
                 self._collapse()
         elif value == 0.0:
             self._zeros += 1
         else:
+            buckets = self._buckets
             key = self._key(value)
-            self._buckets[key] = self._buckets.get(key, 0) + 1
+            buckets[key] = buckets.get(key, 0) + 1
 
     def extend(self, values: Iterable[float]) -> None:
         for value in values:
             self.add(value)
 
     def _key(self, value: float) -> int:
-        return int(math.ceil(math.log(value) / self._log_gamma))
+        return math.ceil(math.log(value) / self._log_gamma)
 
     def _bucket_value(self, key: int) -> float:
         # Midpoint (harmonic) of (gamma**(key-1), gamma**key]: within

@@ -199,14 +199,14 @@ class Process(Event):
         self._value = _PENDING
         self._ok = None
         self._generator = generator
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         #: Daemon processes (perpetual service loops: link receivers,
         #: switch forwarding, dispatch workers) are expected to outlive
         #: the workload, so the deadlock detector ignores them.
         self.daemon = daemon
         env._alive_processes.add(self)
-        Initialize(env, self)
+        # The start is the first wait: an interrupt before it detaches it.
+        self._target: Optional[Event] = Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:

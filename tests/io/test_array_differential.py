@@ -10,14 +10,23 @@ rates, scripted ``error_requests``, ``max_retries`` 0-3) and tracing.
 Both sides see the same draws and must agree on every returned
 ``(started, done)``, every ``DiskError``, every spindle's state after
 every request, the fault injectors' records and the trace.
+
+While its spindles move in lockstep the array prices an evenly split
+request once for all of them, so a second draw mostly asks for ``k * n``
+bytes: runs of lockstep requests, left by an uneven request or a fault
+plan and rejoined once the spindles agree again, with the spindles'
+state compared after every request or only at the end.
 """
+
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterConfig, ReadStream, System
 from repro.faults import DiskFaults, FaultInjector, FaultPlan
-from repro.io import DiskArray, DiskError
+from repro.io import DiskArray, DiskError, DiskStats
 from repro.obs import TraceCollector
 from repro.sim import Environment
 from repro.sim.units import ms, us
@@ -27,10 +36,16 @@ from .per_spindle import ReferenceArray, state
 SIZES = st.one_of(st.integers(1, 40), st.integers(1, 1 << 20))
 #: Positioning is 8 ms, so short gaps queue behind a busy arm.
 GAPS = st.one_of(st.integers(0, us(500)), st.integers(ms(9), ms(40)))
-REQUESTS = st.lists(
-    st.tuples(st.sampled_from(("sequential", "repeat", "random")),
-              st.integers(0, 1 << 30), SIZES, GAPS, st.booleans()),
-    min_size=1, max_size=12)
+
+
+def _requests(sizes, max_size=12):
+    return st.lists(
+        st.tuples(st.sampled_from(("sequential", "repeat", "random")),
+                  st.integers(0, 1 << 30), sizes, GAPS, st.booleans()),
+        min_size=1, max_size=max_size)
+
+
+REQUESTS = _requests(SIZES)
 FAULTS = st.one_of(st.none(), st.builds(
     DiskFaults,
     read_error_rate=st.sampled_from((0.0, 0.2, 0.6)),
@@ -50,7 +65,9 @@ def _issue(array, at_ps, offset, nbytes, write):
 
 
 def _compare(num_disks, requests, faults=None, seed=0, traced=False,
-             preposition=None):
+             preposition=None, check_every=True, paths=None):
+    """Run ``requests`` on both sides; returns every outcome.  ``paths``,
+    when given, collects whether each request was priced in lockstep."""
     env = Environment()
     array = DiskArray(env, "d", num_disks=num_disks)
     trace = TraceCollector() if traced else None
@@ -74,11 +91,14 @@ def _compare(num_disks, requests, faults=None, seed=0, traced=False,
         elif kind == "random":
             offset = random_offset
         end = offset + nbytes
+        if paths is not None:
+            paths.append(array._lockstep and nbytes % num_disks == 0)
         outcome = _issue(array, at_ps, offset, nbytes, write)
         assert outcome == _issue(reference, at_ps, offset, nbytes, write)
         outcomes.append(outcome)
-        until_ps = max(s.arm_free for s in reference.spindles) + 1
-        assert state(array, until_ps) == state(reference, until_ps)
+        if check_every:
+            _check_state(array, reference)
+    _check_state(array, reference)
     if faults is not None:
         ours, theirs = injectors
         assert ours._log == theirs._log
@@ -89,6 +109,21 @@ def _compare(num_disks, requests, faults=None, seed=0, traced=False,
     return outcomes
 
 
+def _check_state(array, reference):
+    until_ps = max(s.arm_free for s in reference.spindles) + 1
+    assert state(array, until_ps) == state(reference, until_ps)
+
+
+@st.composite
+def striped_programs(draw):
+    """A spindle count and requests that are mostly ``k * n`` bytes."""
+    n = draw(st.integers(1, 16))
+    sizes = st.one_of(st.integers(1, 64).map(lambda k: k * n),
+                      st.integers(1, 1 << 14).map(lambda k: k * n),
+                      SIZES)
+    return n, draw(_requests(sizes, max_size=16))
+
+
 @given(num_disks=st.integers(1, 16), requests=REQUESTS, faults=FAULTS,
        seed=st.integers(0, 3), traced=st.booleans(),
        preposition=st.one_of(st.none(), st.integers(0, 1 << 20)))
@@ -96,6 +131,101 @@ def _compare(num_disks, requests, faults=None, seed=0, traced=False,
 def test_array_matches_the_per_spindle_oracle(num_disks, requests, faults,
                                                seed, traced, preposition):
     _compare(num_disks, requests, faults, seed, traced, preposition)
+
+
+@given(program=striped_programs(), faults=FAULTS, seed=st.integers(0, 3),
+       traced=st.booleans(), check_every=st.booleans(),
+       preposition=st.one_of(st.none(), st.integers(0, 1 << 20)))
+@settings(max_examples=200, deadline=None)
+def test_lockstep_runs_match_the_per_spindle_oracle(program, faults, seed,
+                                                    traced, check_every,
+                                                    preposition):
+    num_disks, requests = program
+    _compare(num_disks, requests, faults, seed, traced, preposition,
+             check_every)
+
+
+#: Gaps longer than a request, so every arm is free at the next one.
+IDLE = ms(20)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("requests, expected", [
+    # 4097 B: three spindles move 1025 B, the fourth 1022 B, so their
+    # arms disagree until an even request finds them all idle.
+    ([("sequential", 0, 4096, 0, False), ("sequential", 0, 4097, IDLE, False),
+      ("sequential", 0, 4096, IDLE, False), ("sequential", 0, 4096, IDLE, True),
+      ("sequential", 0, 8192, IDLE, False)],
+     [True, False, False, True, True]),
+    # 3 B leaves the fourth spindle's head behind: the next request
+    # repositions only that spindle, the one after finds them agreeing.
+    ([("sequential", 0, 4096, 0, True), ("random", 1 << 20, 3, 0, False),
+      ("sequential", 0, 4096, IDLE, False), ("sequential", 0, 4096, IDLE, False),
+      ("sequential", 0, 4096, 0, False)],
+     [True, False, False, False, True]),
+])
+def test_an_uneven_request_leaves_lockstep_until_the_spindles_agree(
+        requests, expected, traced):
+    paths = []
+    _compare(4, requests, traced=traced, check_every=False, paths=paths)
+    assert paths == expected
+
+
+@pytest.mark.parametrize("drive", ["access_burst", "position_head",
+                                   "attach_faults"])
+def test_driving_a_spindle_on_its_own_settles_and_leaves_lockstep(drive):
+    env = Environment()
+    array = DiskArray(env, "d", num_disks=4)
+    reference = ReferenceArray("d", 4)
+    at_ps = 0
+    for offset in range(0, 4 * 8192, 8192):
+        at_ps += us(100)
+        assert array.read_burst(at_ps, offset, 8192) == \
+            reference.read_burst(at_ps, offset, 8192)
+    assert array._pending.requests == 4  # still waiting on the array
+    disk, spindle = array.disks[2], reference.spindles[2]
+    if drive == "access_burst":
+        assert disk.access_burst(at_ps, 0, 512, write=True) == \
+            spindle.access(at_ps, 0, 512, 512, write=True)
+    elif drive == "position_head":
+        disk.position_head(77)
+        spindle.head = 77
+    else:
+        disk.attach_faults(FaultInjector(FaultPlan(), seed=0))
+    assert not array._lockstep
+    for offset in (32768, 40960, 49152):
+        at_ps += ms(20)
+        assert array.read_burst(at_ps, offset, 8192) == \
+            reference.read_burst(at_ps, offset, 8192)
+    _check_state(array, reference)
+    assert array._lockstep  # every spindle agrees again
+
+
+def test_registry_probes_read_settled_spindle_counters():
+    """After a lockstep stream every spindle's counters still wait on
+    the array; the ``disk.*`` probes must read what each spindle's
+    ``stats`` reads once they are settled."""
+    system = System(ClusterConfig())
+    stream = ReadStream(system, system.host, total_bytes=16 * 65536,
+                        request_bytes=65536, depth=2, warm_start=True)
+
+    def consumer(env):
+        for _ in range(stream.num_blocks):
+            arrival = yield from stream.next_block()
+            yield from stream.done_with(arrival)
+
+    system.env.run(until=system.env.process(consumer(system.env)))
+    array = system.storage.disks
+    assert array._lockstep and array._pending.requests == 16
+    snapshot = system.metrics.snapshot("disk")
+    expected = {}
+    for disk in array.disks:
+        for field in fields(DiskStats):
+            expected[f"disk.{disk.name}.{field.name}"] = \
+                getattr(disk.stats, field.name)
+        expected[f"disk.{disk.name}.utilization"] = disk.utilization()
+    assert snapshot == expected
+    assert snapshot[f"disk.{array.disks[0].name}.requests"] == 16
 
 
 @pytest.mark.parametrize("traced", [False, True])

@@ -71,6 +71,22 @@ def test_rejects_negative_and_nan():
         est.quantile(1.5)
 
 
+@pytest.mark.parametrize("exact_limit", [512, 2])
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_rejects_infinity_in_both_regimes(exact_limit, value):
+    """An infinite latency would read back as p50 = inf, then break the
+    collapse into buckets; it is refused like a negative one."""
+    est = QuantileEstimator(exact_limit=exact_limit)
+    est.extend([1.0, 2.0, 3.0])
+    assert est.is_exact == (exact_limit == 512)
+    with pytest.raises(ValueError, match="finite"):
+        est.add(value)
+    assert est.count == 3
+    assert est.maximum == 3.0
+    est.add(4.0)  # still usable, and the sketch still collapses
+    assert est.quantile(1.0) == pytest.approx(4.0, rel=est.eps)
+
+
 # ----------------------------------------------------------------------
 # Sketch regime: bounded relative error on large streams
 # ----------------------------------------------------------------------

@@ -213,11 +213,10 @@ class Process(Event):
     def __init__(self, env, generator, name=None, daemon=False):
         super().__init__(env)
         self._generator = generator
-        self._target = None
         self.name = name or getattr(generator, "__name__", "process")
         self.daemon = daemon
         env._alive_processes.add(self)
-        Initialize(env, self)
+        self._target = Initialize(env, self)
 
     @property
     def is_alive(self):

@@ -87,6 +87,52 @@ def test_watcher_sees_interrupt_failure():
     assert env.run(until=proc) == "observed"
 
 
+def test_interrupt_before_the_first_step_fails_the_process_once():
+    """An interrupt that lands before a process has run its first step
+    detaches the pending start: the process fails with the interrupt,
+    a waiter receives it, and the start never resumes the dead
+    generator.  The watcher and the interrupter start ahead of their
+    target, so they look it up when they run."""
+    env = Environment()
+    processes, log = {}, []
+
+    def sleeper(env):
+        log.append("started")
+        yield env.timeout(1000)
+
+    def watcher(env):
+        try:
+            yield processes["target"]
+        except Interrupt as exc:
+            log.append(("watcher", env.now, exc.cause))
+
+    def interrupter(env):
+        processes["target"].interrupt(cause="early")
+        yield env.timeout(5)
+
+    env.process(watcher(env))
+    env.process(interrupter(env))
+    target = processes["target"] = env.process(sleeper(env))
+    env.run()
+    assert log == [("watcher", 0, "early")]
+    assert not target.is_alive and not target.ok
+    assert isinstance(target.value, Interrupt)
+    assert env.now == 5
+
+
+def test_unwatched_interrupt_before_the_first_step_surfaces():
+    env = Environment()
+
+    def sleeper(env):
+        yield env.timeout(1000)
+
+    target = env.process(sleeper(env))
+    target.interrupt(cause="early")
+    with pytest.raises(Interrupt):
+        env.run()
+    assert not target.is_alive
+
+
 def test_cannot_interrupt_finished_process():
     env = Environment()
 

@@ -9,9 +9,10 @@ program and runs it on both kernels.  A program is several processes
 whose steps are timeouts (delays that often tie, 0 included), puts and
 gets on bounded and unbounded stores, resource ``with``-blocks,
 explicit cancels and releases, container gets and puts, conditions over
-timeouts and over processes, interrupts (one whose grant landed in the
-same timestep included) and the zero-delay ``succeed`` of a shared
-event.  Each process logs ``(now, pid, step, outcome)`` at every
+timeouts and over processes, joins of other processes, interrupts (one
+whose grant landed in the same timestep included, and one that lands
+before its target's first step, which fails the target and is thrown
+into its joiners) and the zero-delay ``succeed`` of a shared event.  Each process logs ``(now, pid, step, outcome)`` at every
 resume.  Both runs must log the same resumes and end at the same
 ``now``, with the same outcome and the same state in every primitive,
 and the simulator's kernel must process no more events than the
@@ -63,6 +64,7 @@ STEPS = st.one_of(
     st.tuples(st.sampled_from(("all_of_child", "any_of_child")),
               DELAYS, DELAYS),
     st.tuples(st.just("interrupt"), st.integers(0, MAX_PROCESSES - 1)),
+    st.tuples(st.just("join"), st.integers(0, MAX_PROCESSES - 1)),
     st.tuples(st.just("fire"), SHARED),
     st.tuples(st.just("wait"), SHARED),
 )
@@ -93,7 +95,7 @@ def _run(kernel, program, until):
     containers = [kernel.Container(env, capacity=c, init=level)
                   for c, level in CONTAINERS]
     shared = [env.event() for _ in range(SHARED_EVENTS)]
-    processes, started, interrupting, log = [], set(), set(), []
+    processes, interrupting, log = [], set(), []
 
     def resumed(pid, step, value):
         log.append((env.now, pid, step, _norm(value)))
@@ -145,12 +147,15 @@ def _run(kernel, program, until):
                 [kid, env.timeout(op[2], value=tag)])))
         elif kind == "interrupt":
             target = op[1] % len(processes)
-            if target != pid and target in started \
-                    and target not in interrupting \
+            if target != pid and target not in interrupting \
                     and processes[target].is_alive:
                 interrupting.add(target)
                 processes[target].interrupt(tag)
             log.append((env.now, pid, step, "interrupt", target))
+        elif kind == "join":
+            target = op[1] % len(processes)
+            if target != pid:
+                resumed(pid, step, (yield processes[target]))
         elif kind == "fire":
             event = shared[op[1]]
             if not event.triggered:
@@ -160,7 +165,6 @@ def _run(kernel, program, until):
             resumed(pid, step, (yield shared[op[1]]))
 
     def body(pid, steps):
-        started.add(pid)
         for step, op in enumerate(steps):
             try:
                 yield from run_step(pid, step, op)
