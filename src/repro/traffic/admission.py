@@ -18,10 +18,10 @@ as the link-level fault counters.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Optional
 
 from ..metrics.sampling import TimeWeighted
-from ..sim.resources import Store
+from ..sim.events import Event
 
 #: Admission policies: shed load or push back on the arrival source.
 ADMISSION_POLICIES = ("drop", "backpressure")
@@ -37,14 +37,51 @@ class _Closed:
 CLOSED = _Closed()
 
 
+class _Take(Event):
+    """A pending or granted :meth:`AdmissionQueue.take`.
+
+    Withdrawable like ``StoreGet``: an interrupted taker that is still
+    waiting leaves the line, and a grant that landed in the same
+    timestep goes back to the head of the queue, untaken.
+    """
+
+    __slots__ = ("queue", "_withdrawn")
+
+    def __init__(self, queue: "AdmissionQueue"):
+        super().__init__(queue.env)
+        self.callbacks.append(queue._took)
+        self.queue = queue
+        self._withdrawn = False
+
+    def withdraw(self) -> None:
+        if self._withdrawn or self.processed:
+            return
+        self._withdrawn = True
+        queue = self.queue
+        if not self.triggered:
+            queue._takers.remove(self)
+            return
+        self.callbacks.remove(queue._took)
+        if queue._takers:
+            queue._takers.popleft().succeed(self._value)
+        else:
+            queue._entries.appendleft(self._value)
+
+    def _describe_wait(self) -> str:
+        return (f"{self.queue!r}.take "
+                f"({len(self.queue._takers)} taker(s) waiting)")
+
+
 class AdmissionQueue:
     """Bounded FIFO between arrival and dispatch, with depth accounting.
 
-    ``offer`` and ``take`` are generators driven from simulation
-    processes.  Under ``drop`` an arrival finding ``depth`` requests
-    outstanding is rejected immediately; under ``backpressure`` the
-    offering process blocks until a slot frees (head-of-line: one
-    admission point, exactly like one NIC descriptor ring).
+    Under ``drop`` an arrival finding ``depth`` requests outstanding is
+    rejected immediately; under ``backpressure`` the offering process
+    blocks until a slot frees (head-of-line: one admission point,
+    exactly like one NIC descriptor ring).  :meth:`try_offer` admits or
+    drops without waiting; :meth:`offer` is the generator that also
+    waits.  An admitted entry goes straight to the worker that has
+    waited longest in :meth:`take`, else to the back of the queue.
     """
 
     def __init__(self, env, depth: int, policy: str = "drop"):
@@ -56,7 +93,8 @@ class AdmissionQueue:
         self.env = env
         self.depth = depth
         self.policy = policy
-        self._store: Store = Store(env)
+        self._entries: Deque = deque()
+        self._takers: Deque[_Take] = deque()
         self._occupancy = 0
         self._waiters: Deque = deque()
         self.offered = 0
@@ -69,44 +107,77 @@ class AdmissionQueue:
         """Requests admitted but not yet dispatched."""
         return self._occupancy
 
+    def try_offer(self, item) -> Optional[bool]:
+        """Admit ``item`` (True) or drop it (False) without waiting.
+
+        Returns None, counting nothing, when a full ``backpressure``
+        queue makes the offerer wait: :meth:`offer` then does.
+        """
+        if self._occupancy >= self.depth:
+            if self.policy != "drop":
+                return None
+            self.offered += 1
+            self.dropped += 1
+            return False
+        self.offered += 1
+        self._admit(self.env.now, item)
+        return True
+
     def offer(self, item):
         """Try to admit ``item``; yields, returns True iff admitted.
 
-        The returned entry timestamp is the *offer* time, so for
+        The entry timestamp is the *offer* time, so for
         ``backpressure`` the blocked wait counts as queue delay.
         """
+        admitted = self.try_offer(item)
+        if admitted is not None:
+            return admitted
         self.offered += 1
         arrived_ps = self.env.now
-        if self._occupancy >= self.depth:
-            if self.policy == "drop":
-                self.dropped += 1
-                return False
-            while self._occupancy >= self.depth:
-                waiter = self.env.event()
-                self._waiters.append(waiter)
-                yield waiter
+        while self._occupancy >= self.depth:
+            waiter = self.env.event()
+            self._waiters.append(waiter)
+            yield waiter
+        self._admit(arrived_ps, item)
+        return True
+
+    def _admit(self, arrived_ps: int, item) -> None:
         self.admitted += 1
         self._occupancy += 1
         self.depth_signal.set(self._occupancy)
-        self._store.put((arrived_ps, item))
-        return True
+        self._hand((arrived_ps, item))
 
-    def take(self):
-        """Next admitted entry ``(offer_ps, item)``, or ``CLOSED``."""
-        entry = yield self._store.get()
-        if entry is CLOSED:
-            return CLOSED
-        self._occupancy -= 1
-        self.depth_signal.set(self._occupancy)
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        return entry
+    def _hand(self, entry) -> None:
+        # An entry waits only while no taker does, and vice versa.
+        if self._takers:
+            self._takers.popleft().succeed(entry)
+        else:
+            self._entries.append(entry)
+
+    def take(self) -> "_Take":
+        """Event firing with the next entry ``(offer_ps, item)``, or
+        ``CLOSED``: ``entry = yield queue.take()``."""
+        take = _Take(self)
+        if self._entries:
+            take.succeed(self._entries.popleft())
+        else:
+            self._takers.append(take)
+        return take
+
+    def _took(self, take: "_Take") -> None:
+        # The take's first callback: the entry leaves the queue just
+        # before its taker resumes.
+        if take._value is not CLOSED:
+            self._occupancy -= 1
+            self.depth_signal.set(self._occupancy)
+            if self._waiters:
+                self._waiters.popleft().succeed()
 
     def close(self, consumers: int) -> None:
         """Wake ``consumers`` takers after the last offer (FIFO: every
         admitted request drains before any consumer sees the sentinel)."""
         for _ in range(consumers):
-            self._store.put(CLOSED)
+            self._hand(CLOSED)
 
     # ------------------------------------------------------------------
     # Reporting

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from ..faults.injector import stream_seed
 from ..workloads.zipf import zipf_cdf
@@ -36,14 +35,28 @@ ARRIVAL_KINDS = ("poisson", "bursty", "diurnal")
 _SECOND_PS = 1_000_000_000_000
 
 
-@dataclass(frozen=True)
-class Arrival:
+class Arrival(NamedTuple):
     """One client request: when, from which stream, for which key."""
 
     index: int
     t_ps: int
     stream: int
     key_rank: int
+
+
+def check_bursty(burst_factor: float, burst_fraction: float,
+                 cycle_s: float) -> None:
+    """Reject on/off settings the ``bursty`` source cannot realize."""
+    if not 0.0 < burst_fraction < 1.0:
+        raise ValueError(
+            f"burst_fraction must be in (0, 1), got {burst_fraction}")
+    if cycle_s <= 0:
+        raise ValueError(f"cycle_s must be positive, got {cycle_s}")
+    if burst_fraction * burst_factor >= 1.0:
+        # The off phase would need a zero or negative rate.
+        raise ValueError(
+            f"burst_fraction * burst_factor must be < 1 "
+            f"(got {burst_fraction} * {burst_factor})")
 
 
 def _arrival_seconds(kind: str, rate_rps: float, duration_s: float,
@@ -64,10 +77,6 @@ def _arrival_seconds(kind: str, rate_rps: float, duration_s: float,
         f = burst_fraction
         rate_on = burst_factor * rate_rps
         rate_off = rate_rps * (1.0 - f * burst_factor) / (1.0 - f)
-        if rate_off < 0:
-            raise ValueError(
-                f"burst_fraction * burst_factor must be < 1 "
-                f"(got {f} * {burst_factor})")
         phase_rng = random.Random(rng.getrandbits(64))
         on = True
         phase_end = phase_rng.expovariate(1.0 / (f * cycle_s))
@@ -118,18 +127,15 @@ def generate_schedule(kind: str, rate_rps: float, duration_s: float, *,
         raise ValueError(f"num_streams must be >= 1, got {num_streams}")
     if num_keys < 1:
         raise ValueError(f"num_keys must be >= 1, got {num_keys}")
+    if kind == "bursty":
+        check_bursty(burst_factor, burst_fraction, cycle_s)
     gap_rng = random.Random(stream_seed(seed, f"traffic/arrivals/{kind}"))
     stream_rng = random.Random(stream_seed(seed, "traffic/streams"))
     key_rng = random.Random(stream_seed(seed, "traffic/keys"))
     cdf = zipf_cdf(num_keys, zipf_exponent)
     seconds = _arrival_seconds(kind, rate_rps, duration_s, gap_rng,
                                burst_factor, burst_fraction, cycle_s)
-    schedule = []
-    for index, t in enumerate(seconds):
-        schedule.append(Arrival(
-            index=index,
-            t_ps=int(round(t * _SECOND_PS)),
-            stream=stream_rng.randrange(num_streams),
-            key_rank=bisect.bisect_left(cdf, key_rng.random()),
-        ))
-    return schedule
+    return [Arrival(index, int(round(t * _SECOND_PS)),
+                    stream_rng.randrange(num_streams),
+                    bisect.bisect_left(cdf, key_rng.random()))
+            for index, t in enumerate(seconds)]

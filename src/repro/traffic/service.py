@@ -44,7 +44,7 @@ from ..metrics.sampling import QuantileEstimator
 from ..net.packet import HEADER_BYTES
 from ..sim.units import transfer_ps
 from .admission import ADMISSION_POLICIES, CLOSED, AdmissionQueue
-from .arrivals import ARRIVAL_KINDS, Arrival, generate_schedule
+from .arrivals import ARRIVAL_KINDS, check_bursty, generate_schedule
 
 #: Service configurations (prefetch is a streaming concept; open-loop
 #: requests are naturally pipelined by the worker pool instead).
@@ -116,8 +116,13 @@ class ServiceSpec:
         if self.duration_s <= 0:
             raise ValueError(
                 f"duration_s must be positive, got {self.duration_s}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        for name in ("num_streams", "num_keys", "depth", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.arrival == "bursty":
+            check_bursty(self.burst_factor, self.burst_fraction,
+                         self.cycle_s)
         if self.hosts < 1:
             raise ValueError(f"hosts must be >= 1, got {self.hosts}")
         if self.topology != "single" and self.hosts < 2:
@@ -269,7 +274,6 @@ def _simulate(spec: ServiceSpec, trace=None) -> ServiceResult:
     points at different rates share one build, and the fabric's client
     hop counts, so they share one routing-table walk.
     """
-    from ..apps.base import _stall
     from ..cluster.system import System
     from ..cluster.template import cached_service_app, client_hops
 
@@ -322,46 +326,60 @@ def _simulate(spec: ServiceSpec, trace=None) -> ServiceResult:
     host.hca.attach_admission(queue)
 
     blocks = app.blocks
+    # Per block, fixed for the run: the response size and its egress
+    # time for every client hop count.
+    responses = []
+    for work in blocks:
+        nbytes = max(work.out_bytes, MIN_RESPONSE_BYTES)
+        responses.append((nbytes, {h: _net_ps(nbytes, h)
+                                   for h in set(stream_hops)}))
     per_stream: Dict[int, QuantileEstimator] = {}
     queue_delay_est = QuantileEstimator()
     service_time_est = QuantileEstimator()
     # ``cpu_free_ps`` is the contended host CPU: workers reach it in
     # chronological order, so a scalar free-at grants FIFO.
-    state = {"completed": 0, "ok": 0, "last_completion_ps": 0,
-             "cursor": 0, "cpu_free_ps": 0}
+    completed = ok = last_completion_ps = cursor = cpu_free_ps = 0
     slo_ps = (None if spec.slo_ms is None
               else int(spec.slo_ms * 1_000_000_000))
-
-    def emit(name: str, arr: Arrival) -> None:
-        collector = env.trace
-        if collector is not None:
-            collector.instant("traffic", name, env.now,
-                              req=arr.index, stream=arr.stream)
+    collector = env.trace
+    active = spec.case == "active"
+    cpu = host.cpu
+    recv_poll_ps = hca_cfg.recv_poll_ps
+    send_ps = hca_cfg.send_overhead_ps
 
     def feeder(env):
         # Server-side arrival order: client timestamp plus access-path
         # latency (streams nearer the serving leaf arrive sooner).
-        arrivals = sorted(
-            ((arr.t_ps + ingress_ps[arr.stream], arr.index, arr)
-             for arr in schedule), key=lambda item: item[:2])
+        arrivals = sorted((arr.t_ps + ingress_ps[arr.stream], arr.index, arr)
+                          for arr in schedule)
         for t_server, _, arr in arrivals:
             if t_server > env.now:
                 yield env.timeout(t_server - env.now)
-            emit("service.arrival", arr)
-            admitted = yield from queue.offer(arr)
-            emit("service.admit" if admitted else "service.drop", arr)
+            if collector is not None:
+                collector.instant("traffic", "service.arrival", env.now,
+                                  req=arr.index, stream=arr.stream)
+            admitted = queue.try_offer(arr)
+            if admitted is None:
+                admitted = yield from queue.offer(arr)
+            if collector is not None:
+                collector.instant(
+                    "traffic", "service.admit" if admitted else "service.drop",
+                    env.now, req=arr.index, stream=arr.stream)
         queue.close(spec.workers)
 
     def worker(env):
+        nonlocal completed, ok, last_completion_ps, cursor, cpu_free_ps
         while True:
-            entry = yield from queue.take()
+            entry = yield queue.take()
             if entry is CLOSED:
                 return
             offered_ps, arr = entry
             dispatch_ps = env.now
-            emit("service.dispatch", arr)
-            work = blocks[arr.key_rank % len(blocks)]
-            cpu = host.cpu
+            if collector is not None:
+                collector.instant("traffic", "service.dispatch", dispatch_ps,
+                                  req=arr.index, stream=arr.stream)
+            block = arr.key_rank % len(blocks)
+            work = blocks[block]
 
             # Post the storage read (queue-pair doorbell on the host).
             #
@@ -373,24 +391,25 @@ def _simulate(spec: ServiceSpec, trace=None) -> ServiceResult:
             # Past the multi-CPU handler pool a later request can
             # overtake an earlier one, so from there the walk stays at
             # real event times.
-            post_done = charge(cpu, max(env.now, state["cpu_free_ps"]),
-                               hca_cfg.recv_poll_ps)
-            post_done = charge(cpu, post_done, hca_cfg.send_overhead_ps)
-            state["cpu_free_ps"] = post_done
+            post_done = charge(cpu, max(env.now, cpu_free_ps), recv_poll_ps)
+            post_done = charge(cpu, post_done, send_ps)
+            cpu_free_ps = post_done
 
             # Storage: TCA + SCSI + striped spindles, log-structured
             # (sequential) layout so positioning amortizes like the
             # paper's streams.
-            offset = state["cursor"]
-            state["cursor"] += work.nbytes
+            offset = cursor
+            cursor += work.nbytes
             _, read_done = storage.serve_read_burst(
                 post_done, offset, work.nbytes)
 
-            if spec.case == "active":
+            if active:
                 # Handler on a free switch CPU (contended pool), then
-                # only the filtered bytes cross the host downlink.
-                peek = system.switch_cpu_peek_at(read_done)
-                stall = _stall(work.handler_stall_fn, peek.hierarchy)
+                # only the filtered bytes cross the host downlink.  Its
+                # cache stalls are priced on the CPU that will run it.
+                stall_fn = work.handler_stall_fn
+                stall = (0 if stall_fn is None else stall_fn(
+                    system.switch_cpu_peek_at(read_done).hierarchy))
                 handler_done = system.process_on_switch_at(
                     read_done, work.handler_cycles, stall)
                 if handler_done > env.now:
@@ -414,20 +433,22 @@ def _simulate(spec: ServiceSpec, trace=None) -> ServiceResult:
                 host_stall_fn = work.host_stall_fn
 
             # Host portion + response post, on the contended host CPU.
-            t = charge(cpu, max(env.now, state["cpu_free_ps"]),
-                       hca_cfg.recv_poll_ps)
+            t = charge(cpu, max(env.now, cpu_free_ps), recv_poll_ps)
             t = charge(cpu, t, cpu.clock.cycles(host_cycles),
-                       _stall(host_stall_fn, host.hierarchy))
-            t = charge(cpu, t, hca_cfg.send_overhead_ps)
-            state["cpu_free_ps"] = t
+                       0 if host_stall_fn is None
+                       else host_stall_fn(host.hierarchy))
+            t = charge(cpu, t, send_ps)
+            cpu_free_ps = t
             if t > env.now:
                 yield env.timeout(t - env.now)
 
             done_ps = env.now
-            emit("service.complete", arr)
-            response_bytes = max(work.out_bytes, MIN_RESPONSE_BYTES)
+            if collector is not None:
+                collector.instant("traffic", "service.complete", done_ps,
+                                  req=arr.index, stream=arr.stream)
+            response_bytes, egress_ps = responses[block]
             host.hca.account_bulk_out(response_bytes)
-            egress = _net_ps(response_bytes, stream_hops[arr.stream])
+            egress = egress_ps[stream_hops[arr.stream]]
             latency_ps = done_ps + egress - arr.t_ps
             est = per_stream.get(arr.stream)
             if est is None:
@@ -435,17 +456,15 @@ def _simulate(spec: ServiceSpec, trace=None) -> ServiceResult:
             est.add(latency_ps / 1e6)
             queue_delay_est.add((dispatch_ps - offered_ps) / 1e6)
             service_time_est.add((done_ps - dispatch_ps) / 1e6)
-            state["completed"] += 1
+            completed += 1
             if slo_ps is None or latency_ps <= slo_ps:
-                state["ok"] += 1
-            state["last_completion_ps"] = max(state["last_completion_ps"],
-                                              done_ps + egress)
+                ok += 1
+            last_completion_ps = max(last_completion_ps, done_ps + egress)
 
     system.metrics.register("service.offered", lambda: queue.offered)
     system.metrics.register("service.admitted", lambda: queue.admitted)
     system.metrics.register("service.dropped", lambda: queue.dropped)
-    system.metrics.register("service.completed",
-                            lambda: state["completed"])
+    system.metrics.register("service.completed", lambda: completed)
 
     procs = [env.process(feeder(env), name="service-feeder")]
     for i in range(spec.workers):
@@ -453,11 +472,10 @@ def _simulate(spec: ServiceSpec, trace=None) -> ServiceResult:
     env.run(until=env.all_of(procs))
 
     duration_ps = int(round(spec.duration_s * _SECOND_PS))
-    horizon_ps = max(duration_ps, state["last_completion_ps"])
+    horizon_ps = max(duration_ps, last_completion_ps)
     horizon_s = horizon_ps / _SECOND_PS
     aggregate = QuantileEstimator.merged(
         [per_stream[s] for s in sorted(per_stream)])
-    completed = state["completed"]
     worst_p99 = None
     for est in per_stream.values():
         p99 = est.percentile(99)
@@ -483,8 +501,8 @@ def _simulate(spec: ServiceSpec, trace=None) -> ServiceResult:
         drop_rate=queue.drop_rate,
         offered_rps=queue.offered / spec.duration_s,
         throughput_rps=completed / horizon_s,
-        goodput_rps=state["ok"] / horizon_s,
-        slo_attainment=(state["ok"] / completed) if completed else 0.0,
+        goodput_rps=ok / horizon_s,
+        slo_attainment=(ok / completed) if completed else 0.0,
         latency_us=_summary(aggregate),
         queue_delay_us=_summary(queue_delay_est),
         service_time_us=_summary(service_time_est),

@@ -273,6 +273,8 @@ def find_knee(spec: ServiceSpec,
     low = float(spec.rate_rps if lo is None else lo)
     if low <= 0:
         raise ValueError(f"lo must be positive, got {low}")
+    if hi is not None and hi < low:
+        raise ValueError(f"hi must be >= lo, got hi={hi} < lo={low}")
     if resolution is None:
         resolution = low / 8
     if resolution <= 0:

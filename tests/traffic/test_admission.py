@@ -42,7 +42,7 @@ def test_backpressure_blocks_until_a_slot_frees():
     def consumer(env):
         while len(taken) < 3:
             yield env.timeout(100)
-            entry = yield from queue.take()
+            entry = yield queue.take()
             taken.append(entry)
 
     env.process(offerer(env))
@@ -77,7 +77,7 @@ def test_close_drains_admitted_before_sentinel():
 
     def worker(env):
         while True:
-            entry = yield from queue.take()
+            entry = yield queue.take()
             if entry is CLOSED:
                 seen.append("closed")
                 return
@@ -99,7 +99,7 @@ def test_snapshot_and_depth_signal():
         yield from queue.offer("a")
         yield from queue.offer("b")
         yield env.timeout(1000)
-        yield from queue.take()
+        yield queue.take()
 
     env.process(script(env))
     env.run()

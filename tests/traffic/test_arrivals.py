@@ -86,3 +86,13 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         # burst_fraction * burst_factor >= 1 leaves a negative off rate.
         _schedule("bursty", burst_factor=4.0, burst_fraction=0.3)
+
+
+@pytest.mark.parametrize("bad", (
+    dict(burst_fraction=0.0), dict(burst_fraction=1.0), dict(cycle_s=0.0),
+    dict(burst_factor=10.0)), ids=("no-on", "no-off", "no-cycle", "zero-off"))
+def test_unrealizable_bursts_raise_value_error(bad):
+    with pytest.raises(ValueError):
+        _schedule("bursty", duration=0.002, **bad)
+    # Only the bursty source reads the on/off settings.
+    assert _schedule("poisson", duration=0.002, **bad)

@@ -47,6 +47,43 @@ def test_spec_validation():
         ServiceSpec(slo_ms=0.0)
 
 
+@pytest.mark.parametrize("name", ("num_streams", "num_keys", "depth"))
+def test_spec_rejects_empty_counts(name):
+    with pytest.raises(ValueError, match=name):
+        ServiceSpec(**{name: 0})
+
+
+#: Bursty settings the on/off source cannot realize; each once crashed
+#: mid-run (ZeroDivisionError, or a ValueError after the run started).
+BAD_BURSTS = {
+    "no-on-phase": dict(burst_fraction=0.0),
+    "no-off-phase": dict(burst_fraction=1.0),
+    "no-cycle": dict(cycle_s=0.0),
+    "negative-off-rate": dict(burst_factor=20.0),
+    "zero-off-rate": dict(burst_factor=10.0),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_BURSTS.values(), ids=BAD_BURSTS)
+def test_spec_rejects_unrealizable_bursts(bad):
+    with pytest.raises(ValueError):
+        ServiceSpec(arrival="bursty", duration_s=0.002, **bad)
+    # Other arrival kinds ignore the on/off fields.
+    ServiceSpec(arrival="poisson", duration_s=0.002, **bad)
+
+
+def test_valid_specs_keep_their_fingerprints():
+    from repro.runner.fingerprint import fingerprint
+    assert fingerprint(ServiceSpec()) == (
+        "d24a238ea97afd1e3a41b2c6052b7af148668be7aebb61b5cbf13e21db594ead")
+    assert fingerprint(ServiceSpec(
+        arrival="bursty", burst_factor=8.0, burst_fraction=0.05,
+        cycle_s=0.002)) == (
+        "ff6341df5150c92148410a301af309999e0420144c67c1958e0dbdd081e04ec6")
+    assert fingerprint(ServiceSpec(arrival="diurnal", burst_fraction=0.0)) == (
+        "31b5e1a15616b038b8d5b1ff5bc7f79a6af5a8cc43fdf8636f8ee37052ece693")
+
+
 def test_make_service_spec_normalizes_overrides():
     spec = make_service_spec("grep", overrides={"num_disks": 16},
                              rate_rps=100.0)

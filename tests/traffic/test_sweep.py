@@ -199,6 +199,17 @@ def test_find_knee_validation():
         find_knee(spec, resolution=-1.0, evaluate=monotone(1.0))
 
 
+def test_find_knee_rejects_an_inverted_range():
+    # Probing 600 then 300 would report 300 as the maximum sustainable
+    # rate although 600 held.
+    spec = ServiceSpec(**FAST)
+    with pytest.raises(ValueError, match="hi must be >= lo"):
+        find_knee(spec, lo=600.0, hi=300.0, evaluate=monotone(800.0))
+    single = find_knee(spec, lo=600.0, hi=600.0, evaluate=monotone(800.0))
+    assert single.probes == [600.0]
+    assert single.knee_rps is None and single.best.rate_rps == 600.0
+
+
 def test_goodput_tolerance_is_the_sustain_threshold():
     # Right at the tolerance the point still counts as sustained.
     result = synthetic(1000.0, True)
